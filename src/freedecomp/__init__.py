@@ -9,6 +9,7 @@ verifies the resulting certificates independently.
 from .conjecture import (
     BetaImageNotInFactor,
     Bounds,
+    CertificateRejected,
     ConjectureCertificate,
     CrossFactorPieceNontrivial,
     FactorCertificate,
@@ -67,8 +68,6 @@ from .verify import (
     MalformedCertificate,
     VerificationReport,
     brute_force_double_cosets,
-    brute_force_members,
-    brute_force_membership,
     verify_certificate,
 )
 

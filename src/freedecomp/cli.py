@@ -14,11 +14,12 @@ from pathlib import Path
 from .conjecture import (
     BetaImageNotInFactor,
     Bounds,
+    CertificateRejected,
     ConjectureCertificate,
     CrossFactorPieceNontrivial,
     FactorCertificate,
     ThetaNotSurjectiveOntoB,
-    conjecture_decompose,
+    decompose_and_check,
 )
 from .covgraph import IndexBoundExceeded, build_core, canonicalize, complete_graph, membership, to_dot
 from .fingroup import GroupTableError, NotAHomomorphism, NotSurjective, cyclic, sym, validate_group
@@ -82,8 +83,6 @@ def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
         max_cosets=raw_bounds.get("max_cosets", 10_000),
         tree_word_bound=raw_bounds.get("tree_word_bound", 12),
         tree_retries=raw_bounds.get("tree_retries", 8),
-        free_test_len=raw_bounds.get("free_test_len", 8),
-        seed=raw_bounds.get("seed", 0),
     )
     return system, gens, bounds
 
@@ -193,23 +192,14 @@ def kurosh_to_json(decomp) -> dict:
 def cmd_decompose(args) -> int:
     system, gens, bounds = load_system(_read_json(args.system))
     bounds = _merge_bounds(bounds, args)
-    cert = conjecture_decompose(system, gens, bounds)
+    cert, report, graph = decompose_and_check(system, gens, bounds)
     _write(args.output, _dump(certificate_to_json(cert)))
     if args.dot:
-        graph = canonicalize(complete_graph(system, build_core(system, gens), bounds.max_cosets))
         _write(args.dot, to_dot(graph))
-    report = verify_certificate(
-        system,
-        gens,
-        cert,
-        max_cosets=bounds.max_cosets,
-        free_test_len=bounds.free_test_len,
-        seed=bounds.seed,
-    )
     if args.report:
         _write(args.report, _dump(report_to_json(report)))
     print(report.summary())
-    return EXIT_OK if report.verdict else EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def cmd_kurosh(args) -> int:
@@ -225,14 +215,7 @@ def cmd_verify(args) -> int:
     system, gens, bounds = load_system(_read_json(args.system))
     bounds = _merge_bounds(bounds, args)
     cert = certificate_from_json(system, _read_json(args.certificate))
-    report = verify_certificate(
-        system,
-        gens,
-        cert,
-        max_cosets=bounds.max_cosets,
-        free_test_len=bounds.free_test_len,
-        seed=bounds.seed,
-    )
+    report = verify_certificate(system, gens, cert, max_cosets=bounds.max_cosets)
     if args.output:
         _write(args.output, _dump(report_to_json(report)))
     print(report.summary())
@@ -269,8 +252,6 @@ def _merge_bounds(bounds: Bounds, args) -> Bounds:
         max_cosets=args.max_cosets if args.max_cosets is not None else bounds.max_cosets,
         tree_word_bound=args.tree_word_bound if args.tree_word_bound is not None else bounds.tree_word_bound,
         tree_retries=args.tree_retries if args.tree_retries is not None else bounds.tree_retries,
-        free_test_len=args.free_test_len if args.free_test_len is not None else bounds.free_test_len,
-        seed=args.seed if args.seed is not None else bounds.seed,
     )
 
 
@@ -278,8 +259,6 @@ def _add_bound_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cosets", type=int, default=None, help="coset bound for completions (default 10000)")
     p.add_argument("--tree-word-bound", type=int, default=None, help="image length bound in transversal search")
     p.add_argument("--tree-retries", type=int, default=None, help="transversal retry budget (default 8)")
-    p.add_argument("--free-test-len", type=int, default=None, help="letter bound for the freeness search")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +327,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"invalid input: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    except (CrossFactorPieceNontrivial, BetaImageNotInFactor) as exc:
+    except (CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
         print(f"decomposition failed: {exc}", file=_sys.stderr)
         return EXIT_VERIFY_FAILED
 

@@ -8,10 +8,10 @@ x = g^-1 beta' dies in B while conjugating the factor identically.  The
 result is a certificate carrying every intermediate object, which the
 verify module re-checks from scratch.
 
-The transversal choice is a heuristic; the pipeline validates each
-candidate (cross-factor pieces, intersection equalities, generation,
-fingerprint additivity, bounded freeness) and retries with permuted edge
-orders before giving up.
+The transversal choice is a heuristic.  Each candidate certificate is
+gated by the verifier's own checks C1-C7 on the already-built coset graph,
+and a rejected candidate is retried with permuted edge orders before
+giving up.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, build_core, canonicalize, complete_graph, membership
+from .covgraph import CoreGraph, build_core, canonicalize, complete_graph
 from .fingroup import solve_preimage
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word, theta_word
 from .higgins import ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
 from .kurosh import KuroshDecomposition, kurosh_decompose
-from .verify import _free_part_letters, additivity_check, freeness_search, generation_check
+from .verify import VerificationReport, check_certificate
 
 
 class ThetaNotSurjectiveOntoB(RuntimeError):
@@ -33,18 +33,15 @@ class ThetaNotSurjectiveOntoB(RuntimeError):
 
 
 class CrossFactorPieceNontrivial(RuntimeError):
-    """A per-factor subgroup produced a piece that contradicts the expected
-    shape (foreign factor, or smaller than the full intersection with H)."""
+    """A per-factor subgroup produced a piece in a foreign factor."""
 
 
 class BetaImageNotInFactor(RuntimeError):
     """A piece representative's image is not a single factor element."""
 
 
-class _TreeRejected(Exception):
-    def __init__(self, reason: RuntimeError):
-        super().__init__(str(reason))
-        self.reason = reason
+class CertificateRejected(RuntimeError):
+    """The assembled certificate failed one of the checks C1-C7."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,9 @@ class Bounds:
     tree_extension_bound: int = 64
     tree_retries: int = 8
     free_test_len: int = 8
-    freeness_budget: int = 200_000
+    """Ignored; kept only because the benchmark harness reads it."""
     seed: int = 0
+    """Ignored; kept only because the benchmark harness reads it."""
 
 
 @dataclass(frozen=True)
@@ -108,17 +106,28 @@ def check_h_theta_surjective(sys: FactorSystem, h_gens, max_cosets: int) -> None
 def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None) -> ConjectureCertificate:
     """Full decomposition of the subgroup generated by ``h_gens``.
 
-    Raises IndexBoundExceeded / TreeBoundExceeded on bound violations,
-    ThetaNotSurjectiveOntoB when the image precheck fails, and
-    CrossFactorPieceNontrivial / BetaImageNotInFactor with diagnostics when
-    every transversal retry was rejected.
+    Raises IndexBoundExceeded on the coset bound, ThetaNotSurjectiveOntoB
+    when the image precheck fails, and, when every transversal retry was
+    rejected, an error of the last retry's kind (TreeBoundExceeded,
+    CrossFactorPieceNontrivial, BetaImageNotInFactor or CertificateRejected)
+    whose message names the reason of every retry.
     """
+    return decompose_and_check(sys, h_gens, bounds)[0]
+
+
+def decompose_and_check(
+    sys: FactorSystem, h_gens, bounds: Bounds | None = None
+) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
+    """``conjecture_decompose`` plus the passing report of checks C1-C7 and
+    the complete canonical coset graph of H they ran on."""
     bounds = bounds or Bounds()
+    if bounds.tree_retries < 1:
+        raise ValueError(f"tree_retries must be at least 1, got {bounds.tree_retries}")
     gens = canonical_generators(h_gens)
     graph = canonicalize(complete_graph(sys, build_core(sys, gens), bounds.max_cosets))
     check_h_theta_surjective(sys, gens, bounds.max_cosets)
 
-    last_error: RuntimeError | None = None
+    reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
             tree = build_theta_tree(
@@ -128,19 +137,17 @@ def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None
                 extension_bound=bounds.tree_extension_bound,
                 order_seed=order_seed,
             )
-        except TreeBoundExceeded as exc:
-            last_error = exc
-            continue
-        try:
-            return _assemble(sys, graph, tree, bounds)
-        except _TreeRejected as exc:
-            last_error = exc.reason
-            continue
-    assert last_error is not None
-    raise last_error
+            cert, report = _assemble(sys, graph, tree, bounds)
+            return cert, report, graph
+        except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
+            last = exc
+            reasons.append(f"order_seed {order_seed}: {exc}")
+    raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
 
 
-def _assemble(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Bounds) -> ConjectureCertificate:
+def _assemble(
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Bounds
+) -> tuple[ConjectureCertificate, VerificationReport]:
     hd = higgins_decompose(sys, graph, tree)
     factor_certs: list[FactorCertificate] = []
 
@@ -159,24 +166,10 @@ def _assemble(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Boun
         vertex_groups: list[tuple[Word, ...]] = []
         for piece in kd.pieces:
             if piece.lam != lam:
-                raise _TreeRejected(
-                    CrossFactorPieceNontrivial(
-                        f"H_{lam} has a nontrivial piece in factor {piece.lam}: rep {piece.rep}"
-                    )
+                raise CrossFactorPieceNontrivial(
+                    f"H_{lam} has a nontrivial piece in factor {piece.lam}: rep {piece.rep}"
                 )
             beta_prime = piece.rep
-            bp_inv = invert(sys, "G", beta_prime)
-            intersection = {
-                g
-                for g in range(1, group.order)
-                if membership(sys, graph, multiply(sys, "G", multiply(sys, "G", bp_inv, ((lam, g),)), beta_prime))
-            }
-            if intersection != set(piece.stabilizer) - {0}:
-                raise _TreeRejected(
-                    CrossFactorPieceNontrivial(
-                        f"H_{lam} piece at {beta_prime} is smaller than the intersection with the whole subgroup"
-                    )
-                )
             image = theta_word(sys, beta_prime)
             if image == EMPTY:
                 g_word: Word = EMPTY
@@ -185,9 +178,7 @@ def _assemble(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Boun
                 g_elem = solve_preimage(sys.theta[lam], image[0][1])
                 g_word = syllable_word(lam, g_elem)
             else:
-                raise _TreeRejected(
-                    BetaImageNotInFactor(f"image of {beta_prime} is {image}, not inside factor {lam}")
-                )
+                raise BetaImageNotInFactor(f"image of {beta_prime} is {image}, not inside factor {lam}")
             x = multiply(sys, "G", invert(sys, "G", g_word), beta_prime)
             assert theta_word(sys, x) == EMPTY
             ginv = group.inv[g_elem]
@@ -215,37 +206,19 @@ def _assemble(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Boun
             )
         )
 
-    # tree-quality gates: generation, fingerprint additivity, bounded freeness
     all_words: list[Word] = []
     for fc in factor_certs:
         for vg in fc.vertex_groups:
             all_words.extend(vg)
         all_words.extend(fc.f_basis)
-    ok, details = generation_check(sys, graph, all_words, bounds.max_cosets)
-    if not ok:
-        raise _TreeRejected(CrossFactorPieceNontrivial(f"pieces fail to regenerate the subgroup: {details}"))
-    ok, details = additivity_check(sys, graph, [fc.h_lambda_gens for fc in factor_certs])
-    if not ok:
-        raise _TreeRejected(CrossFactorPieceNontrivial(f"decomposition fingerprints do not add up: {details}"))
-    parts = []
-    for fc in factor_certs:
-        for mu, vg in enumerate(fc.vertex_groups):
-            parts.append((f"vg[{fc.lam},{mu}]", list(vg)))
-        for j, w in enumerate(fc.f_basis):
-            parts.append((f"fb[{fc.lam},{j}]", _free_part_letters(sys, w)))
-    if len(parts) >= 2:
-        witness, _, _ = freeness_search(
-            sys, parts, bounds.free_test_len, budget=bounds.freeness_budget, seed=bounds.seed
-        )
-        if witness is not None:
-            raise _TreeRejected(
-                CrossFactorPieceNontrivial(f"free-product relation of {len(witness)} letters found")
-            )
-
-    h_generators = canonical_generators(all_words)
-    return ConjectureCertificate(
+    cert = ConjectureCertificate(
         system_hash=system_hash(sys),
-        h_generators=h_generators,
+        h_generators=canonical_generators(all_words),
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )
+    report = check_certificate(sys, graph, cert, bounds.max_cosets)
+    if not report.verdict:
+        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+        raise CertificateRejected(f"failed {failed}")
+    return cert, report

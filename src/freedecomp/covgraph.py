@@ -59,9 +59,6 @@ class CoreGraph:
     complete: bool
     base: int = 0
 
-    def degree_total(self, sys: FactorSystem) -> int:
-        return sum(g.order - 1 for g in sys.factors_g)
-
 
 def _canonical_loop_label(group: FiniteGroup, g: int) -> int:
     return min(g, group.inv[g])

@@ -59,12 +59,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
     name: str = "G"
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 

@@ -44,9 +44,6 @@ class ThetaTree:
     readable from the base, p_base empty."""
 
     transversal: tuple[Word, ...]
-    parent: tuple[int, ...]
-    connect: tuple[Word, ...]
-    extension_log: tuple = ()
     order_seed: int = 0
 
 
@@ -97,8 +94,6 @@ def build_theta_tree(
     labels = _label_order(sys, order_seed)
 
     p: list[Word | None] = [None] * n
-    parent = [-1] * n
-    connect: list[Word] = [EMPTY] * n
     p[graph.base] = EMPTY
 
     kernel_labels = [(lam, g) for lam, g in labels if sys.theta[lam].map[g] == 0]
@@ -113,32 +108,30 @@ def build_theta_tree(
                 if v is None or p[v] is not None:
                     continue
                 p[v] = multiply(sys, "G", p[u], ((lam, g),))
-                parent[v] = u
-                connect[v] = ((lam, g),)
                 queue.append(v)
 
     kernel_closure(graph.base)
 
     uncovered = [v for v in range(n) if p[v] is None]
     if not uncovered:
-        return ThetaTree(tuple(p), tuple(parent), tuple(connect), (), order_seed)
+        return ThetaTree(tuple(p), order_seed)
 
     # stage 2/3: BFS over (vertex, image) states from the covered vertices
     sources = [v for v in range(n) if p[v] is not None]
-    visited: dict[tuple[int, Word], tuple[Word, int, Word]] = {}
+    visited: dict[tuple[int, Word], Word] = {}  # (vertex, image) -> a word from the base with that end and image
     arrivals: dict[int, list[Word]] = {v: [] for v in range(n)}
     squeue: deque = deque()
     for src in sources:
         state = (src, EMPTY)
         if state not in visited:
-            visited[state] = (p[src], src, EMPTY)
+            visited[state] = p[src]
             arrivals[src].append(EMPTY)
             squeue.append((state, 0))
     while squeue and len(visited) < _STATE_BUDGET:
         (v, img), depth = squeue.popleft()
         if depth >= extension_bound:
             continue
-        q, src, w = visited[(v, img)]
+        q = visited[(v, img)]
         for lam, g in labels:
             v2 = graph.action[v][(lam, g)]
             img2 = multiply(sys, "B", img, ((lam, sys.theta[lam].map[g]),) if sys.theta[lam].map[g] else ())
@@ -148,14 +141,11 @@ def build_theta_tree(
             if state in visited:
                 continue
             q2 = multiply(sys, "G", q, ((lam, g),))
-            w2 = multiply(sys, "G", w, ((lam, g),))
-            visited[state] = (q2, src, w2)
+            visited[state] = q2
             arrivals[v2].append(img2)
             squeue.append((state, depth + 1))
             if img2 == EMPTY and p[v2] is None:
                 p[v2] = q2
-                parent[v2] = src
-                connect[v2] = w2
                 kernel_closure(v2)
     uncovered = [v for v in range(n) if p[v] is None]
     if uncovered:
@@ -167,11 +157,9 @@ def build_theta_tree(
             match = next((img for img in arrivals[v] if img in base_set), None)
             if match is None:
                 continue
-            h = visited[(graph.base, match)][0]
-            q = visited[(v, match)][0]
+            h = visited[(graph.base, match)]
+            q = visited[(v, match)]
             p[v] = multiply(sys, "G", invert(sys, "G", h), q)
-            parent[v] = graph.base
-            connect[v] = p[v]
             kernel_closure(v)
         uncovered = [v for v in range(n) if p[v] is None]
     if uncovered:
@@ -179,7 +167,7 @@ def build_theta_tree(
             f"no image-trivial transversal for vertices {uncovered} "
             f"(word_bound={word_bound}, extension_bound={extension_bound})"
         )
-    return ThetaTree(tuple(p), tuple(parent), tuple(connect), (), order_seed)
+    return ThetaTree(tuple(p), order_seed)
 
 
 def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> HigginsDecomposition:

@@ -172,15 +172,6 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
     )
 
 
-def rank_formula(sys: FactorSystem, graph: CoreGraph) -> int:
-    """Sum over components of (size - 1), minus (vertex_count - 1)."""
-    total = 0
-    for lam in range(sys.num_factors):
-        for comp in lambda_components(sys, graph, lam):
-            total += len(comp.vertices) - 1
-    return total - (graph.vertex_count - 1)
-
-
 def kurosh_invariants(sys: FactorSystem, decomp: KuroshDecomposition) -> KuroshInvariants:
     classes = sorted(
         (piece.lam, subgroup_conjugacy_key(sys.factors_g[piece.lam], piece.stabilizer))

@@ -1,12 +1,23 @@
-"""Independent coset enumeration used only as a test oracle.
+"""Independent enumerations used only as test oracles.
 
-Classic relator-scanning enumeration over the presentation whose generators
-are the nonidentity factor elements and whose relators are the factor
-multiplication triples.  Shares no code with the package's fold/saturate
-builder, so agreement between the two is meaningful evidence.
+``NaiveCosetTable`` is classic relator-scanning coset enumeration over the
+presentation whose generators are the nonidentity factor elements and whose
+relators are the factor multiplication triples.  It shares no code with the
+package's fold/saturate builder, so agreement between the two is meaningful
+evidence.  ``brute_force_members`` enumerates products of generators,
+``rank_formula`` counts the free rank from component sizes, and
+``freeness_search`` (with ``free_part_letters``) is the bounded search for
+free-product relations that the exact check C7 replaced; it cross-checks
+C7 on the corpus.
 """
 
 from __future__ import annotations
+
+import random
+from collections import deque
+
+from freedecomp.covgraph import CoreGraph, lambda_components
+from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
 
 
 class EnumerationOverflow(Exception):
@@ -161,3 +172,169 @@ class NaiveCosetTable:
             if c is None:
                 return False
         return self.rep(c) == 0
+
+
+def brute_force_members(
+    sys: FactorSystem,
+    h_gens,
+    limit: int | None = None,
+    *,
+    length_cap: int | None = None,
+    state_budget: int = 1_000_000,
+    targets=None,
+) -> tuple[frozenset[Word], bool]:
+    """Products of at most ``limit`` generators/inverses, as normal forms.
+
+    ``length_cap`` prunes products whose normal form grows beyond the cap
+    (making the closure finite even without a depth limit), ``targets`` stops
+    the search early once every target word has appeared.  Returns the set
+    and whether the search ran to completion within the state budget.
+    """
+    letters = []
+    for w in h_gens:
+        w = tuple(w)
+        if w and w not in letters:
+            letters.append(w)
+        wi = invert(sys, "G", w)
+        if wi and wi not in letters:
+            letters.append(wi)
+    found = {EMPTY}
+    frontier = [EMPTY]
+    remaining = set(targets) - found if targets is not None else None
+    exhausted = True
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        if remaining is not None and not remaining:
+            break
+        nxt = []
+        for u in frontier:
+            for a in letters:
+                v = multiply(sys, "G", u, a)
+                if length_cap is not None and len(v) > length_cap:
+                    continue
+                if v not in found:
+                    found.add(v)
+                    nxt.append(v)
+                    if remaining is not None:
+                        remaining.discard(v)
+            if len(found) > state_budget:
+                exhausted = False
+                break
+        if not exhausted:
+            break
+        frontier = nxt
+        depth += 1
+    return frozenset(found), exhausted
+
+
+def brute_force_membership(sys: FactorSystem, h_gens, w: Word, limit: int) -> bool:
+    """True iff ``w`` equals some product of at most ``limit`` generators."""
+    w = tuple(w)
+    if w == EMPTY:
+        return True
+    members, _ = brute_force_members(sys, h_gens, limit, targets={w})
+    return w in members
+
+
+def rank_formula(sys: FactorSystem, graph: CoreGraph) -> int:
+    """Sum over components of (size - 1), minus (vertex_count - 1)."""
+    total = 0
+    for lam in range(sys.num_factors):
+        for comp in lambda_components(sys, graph, lam):
+            total += len(comp.vertices) - 1
+    return total - (graph.vertex_count - 1)
+
+
+def freeness_search(
+    sys: FactorSystem,
+    parts: list[tuple[str, list[Word]]],
+    max_letters: int,
+    budget: int = 200_000,
+    seed: int = 0,
+    samples: int = 2_000,
+) -> tuple[list[Word] | None, bool, int]:
+    """Search for an alternating product of nontrivial part elements that
+    collapses to the identity.
+
+    Breadth-first over (last part, running product) states with
+    deduplication; exhaustive for products of up to ``max_letters`` letters
+    when the budget is not hit, otherwise topped up with seeded random
+    sampling.  Returns (witness letters or None, exhaustive?, states explored).
+    """
+    for pid, letters in parts:
+        for w in letters:
+            if not w:
+                return [w], True, 0  # a trivial letter is itself a relation
+    letter_sets = []
+    for pid, letters in parts:
+        unique = []
+        for w in letters:
+            if w not in unique:
+                unique.append(w)
+        letter_sets.append((pid, unique))
+    start: list[tuple[int, Word, tuple[Word, ...]]] = []
+    for i, (_, letters) in enumerate(letter_sets):
+        for w in letters:
+            start.append((i, w, (w,)))
+    seen: set[tuple[int, Word]] = set()
+    queue = deque()
+    for i, w, hist in start:
+        if (i, w) not in seen:
+            seen.add((i, w))
+            queue.append((i, w, 1, hist))
+    exhaustive = True
+    while queue:
+        i, prod, depth, hist = queue.popleft()
+        if prod == EMPTY:
+            return list(hist), True, len(seen)
+        if depth >= max_letters:
+            continue
+        for j, (_, letters) in enumerate(letter_sets):
+            if j == i:
+                continue
+            for w in letters:
+                nprod = multiply(sys, "G", prod, w)
+                if nprod == EMPTY:
+                    return list(hist) + [w], True, len(seen)
+                if (j, nprod) in seen:
+                    continue
+                seen.add((j, nprod))
+                queue.append((j, nprod, depth + 1, hist + (w,)))
+                if len(seen) > budget:
+                    exhaustive = False
+                    queue.clear()
+                    break
+            if not exhaustive:
+                break
+        if not exhaustive:
+            break
+    if not exhaustive:
+        rng = random.Random(seed)
+        nonempty = [i for i, (_, letters) in enumerate(letter_sets) if letters]
+        if len(nonempty) >= 2:
+            for _ in range(samples):
+                length = rng.randint(2, max_letters)
+                prod = EMPTY
+                hist = []
+                last = -1
+                for _ in range(length):
+                    j = rng.choice([k for k in nonempty if k != last])
+                    w = rng.choice(letter_sets[j][1])
+                    prod = multiply(sys, "G", prod, w)
+                    hist.append(w)
+                    last = j
+                    if prod == EMPTY:
+                        return hist, False, len(seen)
+    return None, exhaustive, len(seen)
+
+
+def free_part_letters(sys: FactorSystem, w: Word) -> list[Word]:
+    """Letters representing a free-basis part: the element and its square,
+    with inverses (exponents past +-2 are left to the sampling stage)."""
+    wi = invert(sys, "G", w)
+    w2 = multiply(sys, "G", w, w)
+    wi2 = invert(sys, "G", w2)
+    letters = [w, wi]
+    if w2 not in (EMPTY,):
+        letters.extend([w2, wi2])
+    return letters

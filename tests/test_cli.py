@@ -1,6 +1,11 @@
+import itertools
 import json
 
+from freedecomp import build_core as real_build_core
+from freedecomp import cli, conjecture, verify
 from freedecomp.cli import main
+from freedecomp.conjecture import canonical_generators
+from freedecomp.fingroup import sym
 
 SYS_A = {
     "factors_G": ["cyclic 2", "cyclic 2"],
@@ -155,3 +160,98 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys):
 
 def test_unreadable_file(tmp_path):
     assert main(["decompose", str(tmp_path / "missing.json"), "-o", str(tmp_path / "c.json")]) == 3
+
+
+def test_tree_retries_below_one_is_invalid_input(tmp_path, capsys):
+    sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"tree_retries": 0}))
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 3
+    assert "tree_retries must be at least 1" in capsys.readouterr().err
+    sys_file = write(tmp_path, "sys2.json", SYS_A)
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--tree-retries", "0"]) == 3
+    assert "tree_retries must be at least 1" in capsys.readouterr().err
+
+
+def test_decompose_builds_the_coset_graph_once(tmp_path, monkeypatch, capsys):
+    # a redundant generator keeps H's generators apart from the words the
+    # certificate regenerates H from in check C5
+    payload = dict(SYS_A, subgroup=SYS_A["subgroup"] + ["0:1 1:1 0:1 1:1"])
+    sys_file = write(tmp_path, "sys.json", payload)
+    _, gens, _ = cli.load_system(payload)
+    h_gens = canonical_generators(gens)
+    calls = []
+
+    def counting_build_core(sys, words):
+        calls.append(tuple(words))
+        return real_build_core(sys, words)
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("decompose must not rebuild through verify_certificate")
+
+    for module in (cli, conjecture, verify):
+        monkeypatch.setattr(module, "build_core", counting_build_core)
+    monkeypatch.setattr(cli, "verify_certificate", no_verify)
+    code = main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--dot", str(tmp_path / "g.dot")])
+    assert code == 0, capsys.readouterr()
+    assert calls.count(h_gens) == 1
+    assert (tmp_path / "g.dot").read_text().count("->") == 4
+
+
+# S5 * Z2 onto Z2 * Z2 by (sign, identity); H is a point stabiliser of a
+# transitive action on 10 points, presented by Schreier generators.  S5's
+# elements carry the labels below (label of the i-th permutation in
+# lexicographic order); under them every transversal retry puts a piece of
+# H_1 in factor 0, so decompose fails after all retries.
+S5_LABELS = [
+    0, 41, 90, 83, 15, 72, 89, 9, 58, 60, 37, 108, 18, 55, 74, 119, 92, 28, 79, 95,
+    38, 102, 7, 67, 4, 56, 30, 105, 39, 69, 19, 117, 10, 12, 16, 52, 103, 50, 57, 111,
+    101, 61, 46, 84, 22, 20, 91, 68, 78, 54, 85, 21, 81, 14, 26, 98, 6, 82, 17, 114,
+    94, 13, 47, 77, 34, 35, 25, 104, 99, 116, 43, 33, 36, 75, 44, 70, 45, 73, 86, 32,
+    107, 31, 96, 29, 2, 3, 71, 100, 40, 23, 110, 63, 59, 1, 11, 48, 65, 53, 87, 88,
+    112, 42, 109, 24, 115, 76, 49, 80, 97, 118, 62, 27, 8, 66, 113, 5, 51, 93, 64, 106,
+]
+S5Z2_SUBGROUP = [
+    "0:102",
+    "0:110 1:1 0:74 1:1 0:34",
+    "1:1 0:84 1:1",
+    "0:110 1:1 0:2 1:1 0:34",
+    "0:110 1:1 0:12 1:1 0:65 1:1 0:34",
+    "0:110 1:1 0:110 1:1 0:34 1:1",
+    "1:1 0:102 1:1",
+    "0:74",
+    "0:110 1:1 0:65 1:1 0:65 1:1",
+    "0:110 1:1 0:102 1:1 0:102 1:1 0:34",
+    "0:12 1:1",
+    "1:1 0:12 1:1 0:102 1:1 0:65 1:1",
+    "1:1 0:12 1:1 0:32 1:1 0:34",
+    "1:1 0:14 1:1",
+    "0:110 1:1 0:107 1:1 0:34",
+    "1:1 0:110 1:1 0:34 1:1 0:34",
+    "1:1 0:65",
+]
+
+
+def s5z2_system() -> dict:
+    s5 = sym(5)
+    n = s5.order
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[S5_LABELS[i]][S5_LABELS[j]] = S5_LABELS[s5.mul[i][j]]
+    sign = [0] * n
+    for i, p in enumerate(sorted(itertools.permutations(range(5)))):
+        sign[S5_LABELS[i]] = sum(p[a] > p[b] for a in range(5) for b in range(a + 1, 5)) % 2
+    return {
+        "factors_G": [table, "cyclic 2"],
+        "factors_B": ["cyclic 2", "cyclic 2"],
+        "theta": [sign, [0, 1]],
+        "subgroup": S5Z2_SUBGROUP,
+    }
+
+
+def test_rejection_names_every_retry(tmp_path, capsys):
+    sys_file = write(tmp_path, "sys.json", s5z2_system())
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert "all 8 transversal retries rejected" in err
+    for order_seed in range(8):
+        assert f"order_seed {order_seed}: H_1 has a nontrivial piece in factor 0" in err

@@ -13,8 +13,9 @@ from freedecomp import (
     spanning_data,
 )
 from freedecomp.freeprod import EMPTY, parse_word
-from freedecomp.kurosh import rank_formula
 from freedecomp.verify import brute_force_double_cosets
+
+from naive_enum import rank_formula
 
 
 def w(sys, text):

@@ -4,20 +4,23 @@ import pytest
 
 from freedecomp import (
     GraphNotComplete,
+    ThetaNotSurjectiveOntoB,
     brute_force_double_cosets,
-    brute_force_members,
-    brute_force_membership,
     build_core,
     canonicalize,
     complete_graph,
     conjecture_decompose,
+    make_system,
     membership,
+    multiply,
     verify_certificate,
 )
+from freedecomp.conjecture import Bounds, check_h_theta_surjective
 from freedecomp.freeprod import EMPTY, parse_word
-from freedecomp.verify import MalformedCertificate, freeness_search
+from freedecomp.verify import MalformedCertificate
 
-from conftest import enumerate_ball
+from conftest import TRIV, Z2, enumerate_ball
+from naive_enum import brute_force_members, brute_force_membership, free_part_letters, freeness_search
 
 
 def w(sys, text):
@@ -58,6 +61,7 @@ def test_dropped_vertex_group_element_fails(sys_a, sys_a_gens, sys_a_cert):
     assert not report.verdict
     failed = {c.name.split()[0] for c in report.checks if c.status == "fail"}
     assert "C3" in failed
+    assert report.checks[6].details == "needs C3 and C5"
 
 
 def test_wrong_system_rejected(sys_a, sys_a_gens, sys_b, sys_a_cert):
@@ -164,3 +168,71 @@ def test_freeness_search_clean_parts(sys_a):
     bab = w(sys_a, "1:1 0:1 1:1")
     witness, exhaustive, _ = freeness_search(sys_a, [("p", [a]), ("q", [bab])], 8)
     assert witness is None and exhaustive
+
+
+def test_c7_only_tamper_matrix():
+    # H = <ab> in Z2 * Z2 is infinite cyclic: no pieces and free rank 1.
+    # Each tampering keeps C1-C6 passing, so only the exact C7 can catch it.
+    sys = make_system([Z2, Z2], [Z2, TRIV], [[0, 1], [0, 0]])
+    gens = [w(sys, "0:1 1:1")]
+    cert = conjecture_decompose(sys, gens)
+    fc0, fc1 = cert.factors
+    (f,) = fc0.f_basis
+    for label, extra in (("redundant", multiply(sys, "G", f, f)), ("duplicated", f), ("empty", EMPTY)):
+        bad = dataclasses.replace(cert, factors=(dataclasses.replace(fc0, f_basis=(f, extra)), fc1))
+        report = verify_certificate(sys, gens, bad)
+        assert [c.status for c in report.checks] == ["pass"] * 6 + ["fail"], label
+        assert report.checks[6].details == "2 free-basis words for free rank 1", label
+
+
+def _tampered(sys, cert):
+    """The benchmark's two tamperings: the first piece listed twice, and
+    a factor's free basis gaining the product of its first and last words."""
+    for i, fc in enumerate(cert.factors):
+        if fc.reps:
+            keys = ("beta_primes", "g_corrections", "reps", "vertex_groups")
+            twice = dataclasses.replace(fc, **{k: getattr(fc, k) + getattr(fc, k)[:1] for k in keys})
+            yield "piece", dataclasses.replace(cert, factors=cert.factors[:i] + (twice,) + cert.factors[i + 1 :])
+            break
+    for i, fc in enumerate(cert.factors):
+        if fc.f_basis:
+            extra = multiply(sys, "G", fc.f_basis[0], fc.f_basis[-1])
+            more = dataclasses.replace(fc, f_basis=fc.f_basis + (extra,))
+            yield "basis", dataclasses.replace(cert, factors=cert.factors[:i] + (more,) + cert.factors[i + 1 :])
+            break
+
+
+def _bounded_witness(sys, cert, max_letters):
+    """The relation the bounded search finds among the certificate's parts, if any."""
+    parts = []
+    for fc in cert.factors:
+        for mu, vg in enumerate(fc.vertex_groups):
+            parts.append((f"vg[{fc.lam},{mu}]", list(vg)))
+        for j, word in enumerate(fc.f_basis):
+            parts.append((f"fb[{fc.lam},{j}]", free_part_letters(sys, word)))
+    if len(parts) < 2:
+        return None
+    return freeness_search(sys, parts, max_letters)[0]
+
+
+def test_exact_c7_agrees_with_bounded_search(corpus):
+    # cross-check of C7 against the bounded search it replaced, on every
+    # qualifying corpus certificate and its tampered copies
+    seen = {"valid": 0, "piece": 0, "basis": 0, "witness": 0}
+    for inst in corpus:
+        try:
+            check_h_theta_surjective(inst.system, inst.gens, 200)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        cert = conjecture_decompose(inst.system, inst.gens, Bounds(max_cosets=200))
+        for kind, candidate in [("valid", cert)] + list(_tampered(inst.system, cert)):
+            c7 = verify_certificate(inst.system, inst.gens, candidate, max_cosets=200).checks[6]
+            witness = _bounded_witness(inst.system, candidate, 8)
+            if witness is not None:
+                seen["witness"] += 1
+                assert c7.status == "fail", (kind, candidate)
+            if c7.status == "pass":
+                assert witness is None, (kind, candidate)
+            assert (c7.status == "pass") == (kind == "valid"), (kind, c7.details)
+            seen[kind] += 1
+    assert seen["valid"] >= 170 and seen["piece"] and seen["basis"] and seen["witness"], seen
