@@ -48,11 +48,23 @@ def _load_group(entry, default_name: str):
                 raise InputError(f"bad group shorthand {entry!r}") from exc
             return cyclic(n) if parts[0] == "cyclic" else sym(n)
         raise InputError(f"unknown group shorthand {entry!r} (use 'cyclic n' or 'sym n')")
-    if isinstance(entry, list):
-        return validate_group(entry, name=default_name)
     if isinstance(entry, dict) and "table" in entry:
-        return validate_group(entry["table"], name=entry.get("name", default_name))
+        default_name, entry = entry.get("name", default_name), entry["table"]
+    if _is_list_of(entry, list):
+        return validate_group(entry, name=default_name)
     raise InputError(f"cannot interpret group entry {entry!r}")
+
+
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+
+
+def _bound(value, name: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
@@ -69,22 +81,35 @@ def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
             raise InputError("factors_B must match factors_G in length")
         factors_b = [_load_group(entry, f"B{i}") for i, entry in enumerate(raw_b)]
         theta_maps = data.get("theta")
-        if theta_maps is None or len(theta_maps) != len(raw_g):
-            raise InputError("theta must list one index map per factor")
     else:
         factors_b = factors_g
         theta_maps = data.get("theta", [list(range(g.order)) for g in factors_g])
+    if not _is_list_of(theta_maps, list) or len(theta_maps) != len(raw_g):
+        raise InputError("theta must list one index map per factor")
     system = make_system(factors_g, factors_b, theta_maps)
 
-    gens = [parse_word(system, "G", w) for w in data.get("subgroup", [])]
+    raw_gens = data.get("subgroup", [])
+    if not _is_list_of(raw_gens, str):
+        raise InputError("subgroup must be a list of word strings")
+    gens = [parse_word(system, "G", w) for w in raw_gens]
 
     raw_bounds = data.get("bounds", {})
-    bounds = Bounds(
+    if not isinstance(raw_bounds, dict):
+        raise InputError("bounds must be an object")
+    bounds = _checked_bounds(
         max_cosets=raw_bounds.get("max_cosets", 10_000),
         tree_word_bound=raw_bounds.get("tree_word_bound", 12),
         tree_retries=raw_bounds.get("tree_retries", 8),
     )
     return system, gens, bounds
+
+
+def _checked_bounds(max_cosets, tree_word_bound, tree_retries) -> Bounds:
+    return Bounds(
+        max_cosets=_bound(max_cosets, "max_cosets", 1),
+        tree_word_bound=_bound(tree_word_bound, "tree_word_bound", 0),
+        tree_retries=_bound(tree_retries, "tree_retries", 1),
+    )
 
 
 def _read_json(path: str):
@@ -248,7 +273,7 @@ def cmd_member(args) -> int:
 
 
 def _merge_bounds(bounds: Bounds, args) -> Bounds:
-    return Bounds(
+    return _checked_bounds(
         max_cosets=args.max_cosets if args.max_cosets is not None else bounds.max_cosets,
         tree_word_bound=args.tree_word_bound if args.tree_word_bound is not None else bounds.tree_word_bound,
         tree_retries=args.tree_retries if args.tree_retries is not None else bounds.tree_retries,

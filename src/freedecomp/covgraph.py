@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .fingroup import FiniteGroup, subgroup_closure
 from .freeprod import FactorSystem, Word
@@ -99,7 +100,13 @@ class LambdaComponent:
 
 
 class _Builder:
-    """Mutable graph under construction: union-find plus adjacency dicts."""
+    """Mutable graph under construction: union-find plus adjacency dicts.
+
+    Saturation jobs are the ``(lam, v)`` pairs in ``dirty`` and run smallest
+    first.  ``heap`` holds every key of ``dirty`` (plus stale entries that
+    ``stabilize`` skips), so picking the next job costs a logarithm rather
+    than a scan of ``dirty``.
+    """
 
     def __init__(self, sys: FactorSystem):
         self.sys = sys
@@ -108,6 +115,7 @@ class _Builder:
         self.adj: list[dict] = []
         self.pending: deque = deque()
         self.dirty: set = set()
+        self.heap: list = []
         self.live = 0
         self.new_vertex()  # base
 
@@ -145,8 +153,15 @@ class _Builder:
         changed = self._set(u, (lam, g), v)
         changed |= self._set(v, (lam, ginv), u)
         if changed:
-            self.dirty.add((lam, u))
-            self.dirty.add((lam, v))
+            dirty = self.dirty
+            job = (lam, u)
+            if job not in dirty:
+                dirty.add(job)
+                heappush(self.heap, job)
+            job = (lam, v)
+            if job not in dirty:
+                dirty.add(job)
+                heappush(self.heap, job)
         return changed
 
     def _process_pending(self) -> None:
@@ -163,7 +178,10 @@ class _Builder:
             for (lam, g), w in sorted(absorbed.items()):
                 self.add_edge(keep, lam, g, self.find(w))
             for lam in range(len(self.groups)):
-                self.dirty.add((lam, keep))
+                job = (lam, keep)
+                if job not in self.dirty:
+                    self.dirty.add(job)
+                    heappush(self.heap, job)
 
     def _saturate(self, lam: int, root: int) -> None:
         group = self.groups[lam]
@@ -227,13 +245,17 @@ class _Builder:
             self.dirty.discard((lam, u))
 
     def stabilize(self) -> None:
+        dirty, heap = self.dirty, self.heap
         while True:
             self._process_pending()
-            if not self.dirty:
+            if not dirty:
                 return
-            lam, v = min(self.dirty)
+            while heap[0] not in dirty:
+                heappop(heap)
+            # the top stays on the heap: _saturate may leave it dirty
+            lam, v = heap[0]
             if self.find(v) != v:
-                self.dirty.discard((lam, v))
+                dirty.discard((lam, v))
                 continue
             self._saturate(lam, v)
 
@@ -312,7 +334,8 @@ def complete_graph(sys: FactorSystem, core: CoreGraph, max_cosets: int) -> CoreG
         builder.add_edge(v, lam, g, w)
         builder.stabilize()
     graph = builder.to_graph(core.subgroup_gens)
-    assert graph.complete
+    if not graph.complete:
+        raise GraphNotComplete("completion left a vertex with an undefined action")
     if graph.vertex_count > max_cosets:
         raise IndexBoundExceeded(max_cosets)
     return graph

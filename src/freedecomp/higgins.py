@@ -147,6 +147,7 @@ def build_theta_tree(
             if img2 == EMPTY and p[v2] is None:
                 p[v2] = q2
                 kernel_closure(v2)
+    budget_hit = bool(squeue)  # states were left when the budget stopped the search
     uncovered = [v for v in range(n) if p[v] is None]
     if uncovered:
         base_images = [img for img in arrivals[graph.base] if img != EMPTY]
@@ -163,9 +164,10 @@ def build_theta_tree(
             kernel_closure(v)
         uncovered = [v for v in range(n) if p[v] is None]
     if uncovered:
+        budget = f", state budget {_STATE_BUDGET} reached" if budget_hit else ""
         raise TreeBoundExceeded(
             f"no image-trivial transversal for vertices {uncovered} "
-            f"(word_bound={word_bound}, extension_bound={extension_bound})"
+            f"(word_bound={word_bound}, extension_bound={extension_bound}{budget})"
         )
     return ThetaTree(tuple(p), order_seed)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from freedecomp import (
     canonicalize,
     complete_graph,
     cyclic,
+    invert,
     make_system,
     normalize,
     parse_word,
@@ -136,6 +138,65 @@ def corpus() -> list[Instance]:
 @pytest.fixture(scope="session")
 def small_corpus(corpus) -> list[Instance]:
     return corpus[:40]
+
+
+@dataclass(frozen=True)
+class PointStabilizer:
+    """H = the stabiliser of point 0 under a transitive action of Z2 * Z3 on
+    ``index`` points, with the Kurosh structure the action determines."""
+
+    system: FactorSystem
+    gens: tuple[Word, ...]
+    index: int
+    pieces: tuple[tuple[int, int], ...]  # sorted (factor, order): one per fixed point
+    free_rank: int
+
+
+def z2z3_point_stabilizer(n: int, seed: int = 1, fixed: tuple[int, int] | None = None) -> PointStabilizer:
+    """The scaling family: a random transitive action of Z2 * Z3 = <a> * <b>
+    on n points, with ``fixed`` = (fixed points of a, fixed points of b),
+    the fewest by default.  H is given by its Schreier generators over a
+    breadth-first spanning tree from point 0.  theta is the identity on Z2
+    and kills Z3.
+
+    Each fixed point of a (of b) contributes a Z2 (a Z3) piece, and
+    chi(H) = n * chi(G) = -n/6 fixes the free rank.
+    """
+    f2, f3 = fixed if fixed is not None else (n % 2, n % 3)
+    assert (n - f2) % 2 == 0 and (n - f3) % 3 == 0
+    rnd = random.Random(seed)
+    while True:
+        pts = list(range(n))
+        rnd.shuffle(pts)
+        a = list(range(n))
+        for i in range(f2, n, 2):
+            a[pts[i]], a[pts[i + 1]] = pts[i + 1], pts[i]
+        rnd.shuffle(pts)
+        b = list(range(n))
+        for i in range(f3, n, 3):
+            b[pts[i]], b[pts[i + 1]], b[pts[i + 2]] = pts[i + 1], pts[i + 2], pts[i]
+        b2 = [b[b[p]] for p in range(n)]
+        moves = {(0, 1): a, (1, 1): b, (1, 2): b2}
+        word = {0: ()}
+        order = [0]
+        for u in order:
+            for syl, perm in moves.items():
+                if perm[u] not in word:
+                    word[perm[u]] = word[u] + (syl,)
+                    order.append(perm[u])
+        if len(order) == n:
+            break
+    system = make_system([Z2, Z3], [Z2, TRIV], [[0, 1], [0, 0, 0]])
+    gens = []
+    for u in order:
+        for syl, perm in moves.items():
+            s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+            if s and s not in gens:
+                gens.append(s)
+    pieces = ((0, 2),) * f2 + ((1, 3),) * f3
+    rank = Fraction(1) - Fraction(f2, 2) - Fraction(2 * f3, 3) + Fraction(n, 6)
+    assert rank.denominator == 1
+    return PointStabilizer(system, tuple(gens), n, pieces, int(rank))
 
 
 def enumerate_ball(system: FactorSystem, maxlen: int):

@@ -6,16 +6,13 @@ relators are the factor multiplication triples.  It shares no code with the
 package's fold/saturate builder, so agreement between the two is meaningful
 evidence.  ``brute_force_members`` enumerates products of generators,
 ``rank_formula`` counts the free rank from component sizes, and
-``freeness_search`` (with ``free_part_letters``) is the bounded search for
-free-product relations that the exact check C7 replaced; it cross-checks
-C7 on the corpus.
+``LinearScanBuilder`` is the graph builder with its original job choice,
+a linear scan for the smallest dirty job.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
-
+from freedecomp import covgraph
 from freedecomp.covgraph import CoreGraph, lambda_components
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
 
@@ -245,96 +242,18 @@ def rank_formula(sys: FactorSystem, graph: CoreGraph) -> int:
     return total - (graph.vertex_count - 1)
 
 
-def freeness_search(
-    sys: FactorSystem,
-    parts: list[tuple[str, list[Word]]],
-    max_letters: int,
-    budget: int = 200_000,
-    seed: int = 0,
-    samples: int = 2_000,
-) -> tuple[list[Word] | None, bool, int]:
-    """Search for an alternating product of nontrivial part elements that
-    collapses to the identity.
+class LinearScanBuilder(covgraph._Builder):
+    """The builder picking each saturation job by ``min(self.dirty)``, the
+    order the heap in ``_Builder.stabilize`` must reproduce."""
 
-    Breadth-first over (last part, running product) states with
-    deduplication; exhaustive for products of up to ``max_letters`` letters
-    when the budget is not hit, otherwise topped up with seeded random
-    sampling.  Returns (witness letters or None, exhaustive?, states explored).
-    """
-    for pid, letters in parts:
-        for w in letters:
-            if not w:
-                return [w], True, 0  # a trivial letter is itself a relation
-    letter_sets = []
-    for pid, letters in parts:
-        unique = []
-        for w in letters:
-            if w not in unique:
-                unique.append(w)
-        letter_sets.append((pid, unique))
-    start: list[tuple[int, Word, tuple[Word, ...]]] = []
-    for i, (_, letters) in enumerate(letter_sets):
-        for w in letters:
-            start.append((i, w, (w,)))
-    seen: set[tuple[int, Word]] = set()
-    queue = deque()
-    for i, w, hist in start:
-        if (i, w) not in seen:
-            seen.add((i, w))
-            queue.append((i, w, 1, hist))
-    exhaustive = True
-    while queue:
-        i, prod, depth, hist = queue.popleft()
-        if prod == EMPTY:
-            return list(hist), True, len(seen)
-        if depth >= max_letters:
-            continue
-        for j, (_, letters) in enumerate(letter_sets):
-            if j == i:
+    def stabilize(self) -> None:
+        while True:
+            self._process_pending()
+            if not self.dirty:
+                return
+            lam, v = min(self.dirty)
+            if self.find(v) != v:
+                self.dirty.discard((lam, v))
                 continue
-            for w in letters:
-                nprod = multiply(sys, "G", prod, w)
-                if nprod == EMPTY:
-                    return list(hist) + [w], True, len(seen)
-                if (j, nprod) in seen:
-                    continue
-                seen.add((j, nprod))
-                queue.append((j, nprod, depth + 1, hist + (w,)))
-                if len(seen) > budget:
-                    exhaustive = False
-                    queue.clear()
-                    break
-            if not exhaustive:
-                break
-        if not exhaustive:
-            break
-    if not exhaustive:
-        rng = random.Random(seed)
-        nonempty = [i for i, (_, letters) in enumerate(letter_sets) if letters]
-        if len(nonempty) >= 2:
-            for _ in range(samples):
-                length = rng.randint(2, max_letters)
-                prod = EMPTY
-                hist = []
-                last = -1
-                for _ in range(length):
-                    j = rng.choice([k for k in nonempty if k != last])
-                    w = rng.choice(letter_sets[j][1])
-                    prod = multiply(sys, "G", prod, w)
-                    hist.append(w)
-                    last = j
-                    if prod == EMPTY:
-                        return hist, False, len(seen)
-    return None, exhaustive, len(seen)
+            self._saturate(lam, v)
 
-
-def free_part_letters(sys: FactorSystem, w: Word) -> list[Word]:
-    """Letters representing a free-basis part: the element and its square,
-    with inverses (exponents past +-2 are left to the sampling stage)."""
-    wi = invert(sys, "G", w)
-    w2 = multiply(sys, "G", w, w)
-    wi2 = invert(sys, "G", w2)
-    letters = [w, wi]
-    if w2 not in (EMPTY,):
-        letters.extend([w2, wi2])
-    return letters

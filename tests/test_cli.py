@@ -1,6 +1,8 @@
 import itertools
 import json
 
+import pytest
+
 from freedecomp import build_core as real_build_core
 from freedecomp import cli, conjecture, verify
 from freedecomp.cli import main
@@ -96,6 +98,33 @@ def test_malformed_system_rejected(tmp_path):
     assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 3
     sys_file = write(tmp_path, "sys2.json", {"factors_G": [[[0, 1], [1, 1]]], "subgroup": []})
     assert main(["kurosh", sys_file]) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bounds", [], "bounds must be an object"),
+        ("bounds", {"max_cosets": "abc"}, "max_cosets must be an integer, got 'abc'"),
+        ("bounds", {"max_cosets": -1}, "max_cosets must be at least 1, got -1"),
+        ("bounds", {"max_cosets": 0}, "max_cosets must be at least 1, got 0"),
+        ("subgroup", [5], "subgroup must be a list of word strings"),
+        ("subgroup", "0:1", "subgroup must be a list of word strings"),
+        ("theta", 5, "theta must list one index map per factor"),
+    ],
+    ids=["bounds-list", "max-cosets-string", "max-cosets-negative", "max-cosets-zero",
+         "subgroup-int-entry", "subgroup-string", "theta-int"],
+)
+def test_malformed_system_field_is_invalid_input(tmp_path, capsys, field, value, message):
+    sys_file = write(tmp_path, "sys.json", dict(SYS_B, **{field: value}))
+    for argv in (["kurosh", sys_file], ["decompose", sys_file, "-o", str(tmp_path / "c.json")]):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_non_positive_max_cosets_flag_is_invalid_input(tmp_path, capsys):
+    sys_file = write(tmp_path, "sys.json", SYS_B)
+    assert main(["kurosh", sys_file, "--max-cosets", "0"]) == 3
+    assert "max_cosets must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_kurosh_sys_b(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedecomp import (
+    GraphNotComplete,
     IndexBoundExceeded,
     build_core,
     canonical_encoding,
@@ -11,10 +14,11 @@ from freedecomp import (
     membership,
     to_dot,
 )
+from freedecomp import covgraph
 from freedecomp.covgraph import graph_edges, trace
 from freedecomp.freeprod import EMPTY, parse_word
 
-from conftest import enumerate_ball
+from conftest import enumerate_ball, z2z3_point_stabilizer
 
 
 def w(sys, text):
@@ -265,3 +269,70 @@ def test_graph_edges_canonical(sys_b, sys_b_gens):
     for u, lam, gelem, v in edges:
         assert u <= v
         assert g.action[u][(lam, gelem)] == v
+
+
+def _core_and_completion(sys, gens, max_cosets):
+    core = build_core(sys, gens)
+    return core, complete_graph(sys, core, max_cosets)
+
+
+def test_heap_jobs_match_linear_scan(corpus, monkeypatch):
+    # the heap must pick every saturation job the linear scan would, so
+    # both give equal graphs, uncanonicalized, from build_core and completion
+    from naive_enum import LinearScanBuilder
+
+    jobs = []
+    saturate = covgraph._Builder._saturate
+
+    def logged(self, lam, v):
+        jobs.append((lam, v))
+        saturate(self, lam, v)
+
+    monkeypatch.setattr(covgraph._Builder, "_saturate", logged)
+    family = [z2z3_point_stabilizer(n) for n in (12, 60, 120, 180, 240, 300)]
+    systems = [(inst.system, inst.gens, 60) for inst in corpus]
+    systems += [(ps.system, ps.gens, ps.index) for ps in family]
+    for sys, gens, max_cosets in systems:
+        jobs.clear()
+        graphs = _core_and_completion(sys, gens, max_cosets)
+        heap_jobs = list(jobs)
+        jobs.clear()
+        with monkeypatch.context() as scan:
+            scan.setattr(covgraph, "_Builder", LinearScanBuilder)
+            expected = _core_and_completion(sys, gens, max_cosets)
+        assert graphs == expected
+        assert heap_jobs == jobs
+    assert family[-1].index == 300 and graphs[1].vertex_count == 300
+
+
+def test_index_agrees_with_sympy():
+    # sympy's coset enumeration over <a, b | a^2, b^3> shares no code with
+    # the fold/saturate builder
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, a, b = free_group("a, b")
+    group = FpGroup(free, [a**2, b**3])
+    letters = {(0, 1): a, (1, 1): b, (1, 2): b**2}
+    for n in (60, 300):
+        ps = z2z3_point_stabilizer(n)
+        subgroup = []
+        for word in ps.gens:
+            element = free.identity
+            for syl in word:
+                element *= letters[syl]
+            subgroup.append(element)
+        table = group.coset_enumeration(subgroup)
+        table.compress()
+        graph = complete_graph(ps.system, build_core(ps.system, ps.gens), 10_000)
+        assert graph.vertex_count == len(table.table) == n
+
+
+def test_completion_that_stays_partial_raises(sys_a, sys_a_gens, monkeypatch):
+    # an incomplete result is an error that survives python -O, not an assert
+    to_graph = covgraph._Builder.to_graph
+    monkeypatch.setattr(
+        covgraph._Builder, "to_graph", lambda self, gens: dataclasses.replace(to_graph(self, gens), complete=False)
+    )
+    with pytest.raises(GraphNotComplete, match="undefined action"):
+        complete_graph(sys_a, build_core(sys_a, sys_a_gens), 100)

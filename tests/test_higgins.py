@@ -12,6 +12,7 @@ from freedecomp import (
     subgroup_closure,
     theta_word,
 )
+from freedecomp import higgins
 from freedecomp.freeprod import EMPTY, invert, make_system, multiply, parse_word
 
 from conftest import Z2
@@ -78,6 +79,17 @@ def test_tree_bound_exceeded_when_image_proper():
     g = complete_canon(sys, gens)
     with pytest.raises(TreeBoundExceeded):
         build_theta_tree(sys, g)
+
+
+def test_state_budget_is_named_when_it_stops_the_search(sys_phase2, sys_phase2_gens, monkeypatch):
+    # index 3 needs the state search; a budget of one state stops it at once
+    g = complete_canon(sys_phase2, sys_phase2_gens)
+    with pytest.raises(TreeBoundExceeded) as exhausted:
+        build_theta_tree(sys_phase2, g, word_bound=0)
+    assert "state budget" not in str(exhausted.value)  # the search ran dry first
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
+    with pytest.raises(TreeBoundExceeded, match="state budget 1 reached"):
+        build_theta_tree(sys_phase2, g)
 
 
 def test_requires_complete_graph(sys_a):

@@ -15,6 +15,7 @@ from freedecomp import (
 from freedecomp.freeprod import EMPTY, parse_word
 from freedecomp.verify import brute_force_double_cosets
 
+from conftest import z2z3_point_stabilizer
 from naive_enum import rank_formula
 
 
@@ -107,6 +108,19 @@ def test_sys_b_euler_characteristic(sys_b, sys_b_gens):
     chi_h = sum(Fraction(1, len(p.stabilizer)) for p in kd.pieces)
     chi_h += 1 - len(kd.pieces) - kd.free_rank
     assert chi_h == g.vertex_count * chi_g == Fraction(-1, 2)
+
+
+def test_kurosh_at_index_1200():
+    # two fixed points of a and three of b: pieces Z2, Z2, Z3, Z3, Z3, and
+    # chi(H) = 1200 * chi(G) = -200 leaves free rank 198
+    ps = z2z3_point_stabilizer(1200, fixed=(2, 3))
+    g = complete_canon(ps.system, ps.gens, 10_000)
+    kd = kurosh_decompose(ps.system, g)
+    assert g.vertex_count == ps.index == 1200
+    assert sorted((p.lam, len(p.stabilizer)) for p in kd.pieces) == list(ps.pieces)
+    assert kd.free_rank == len(kd.free_basis) == ps.free_rank == 198
+    chi_h = sum(Fraction(1, len(p.stabilizer)) - 1 for p in kd.pieces) + 1 - kd.free_rank
+    assert chi_h == 1200 * (Fraction(1, 2) + Fraction(1, 3) - 1)
 
 
 def test_free_rank_formula(corpus):

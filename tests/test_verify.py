@@ -20,7 +20,7 @@ from freedecomp.freeprod import EMPTY, parse_word
 from freedecomp.verify import MalformedCertificate
 
 from conftest import TRIV, Z2, enumerate_ball
-from naive_enum import brute_force_members, brute_force_membership, free_part_letters, freeness_search
+from naive_enum import brute_force_members, brute_force_membership
 
 
 def w(sys, text):
@@ -157,19 +157,6 @@ def test_tamper_matrix(sys_a, sys_a_gens, sys_a_cert):
         assert not report.verdict, f"tampering not detected: {label}"
 
 
-def test_freeness_search_finds_relation(sys_a):
-    a = w(sys_a, "0:1")
-    witness, exhaustive, _ = freeness_search(sys_a, [("p", [a]), ("q", [a])], 4)
-    assert witness is not None and exhaustive
-
-
-def test_freeness_search_clean_parts(sys_a):
-    a = w(sys_a, "0:1")
-    bab = w(sys_a, "1:1 0:1 1:1")
-    witness, exhaustive, _ = freeness_search(sys_a, [("p", [a]), ("q", [bab])], 8)
-    assert witness is None and exhaustive
-
-
 def test_c7_only_tamper_matrix():
     # H = <ab> in Z2 * Z2 is infinite cyclic: no pieces and free rank 1.
     # Each tampering keeps C1-C6 passing, so only the exact C7 can catch it.
@@ -202,23 +189,10 @@ def _tampered(sys, cert):
             break
 
 
-def _bounded_witness(sys, cert, max_letters):
-    """The relation the bounded search finds among the certificate's parts, if any."""
-    parts = []
-    for fc in cert.factors:
-        for mu, vg in enumerate(fc.vertex_groups):
-            parts.append((f"vg[{fc.lam},{mu}]", list(vg)))
-        for j, word in enumerate(fc.f_basis):
-            parts.append((f"fb[{fc.lam},{j}]", free_part_letters(sys, word)))
-    if len(parts) < 2:
-        return None
-    return freeness_search(sys, parts, max_letters)[0]
-
-
-def test_exact_c7_agrees_with_bounded_search(corpus):
-    # cross-check of C7 against the bounded search it replaced, on every
-    # qualifying corpus certificate and its tampered copies
-    seen = {"valid": 0, "piece": 0, "basis": 0, "witness": 0}
+def test_exact_c7_rejects_benchmark_tamperings(corpus):
+    # C7 passes exactly on the untampered certificate of every qualifying
+    # corpus system, and fails on both of its tampered copies
+    seen = {"valid": 0, "piece": 0, "basis": 0}
     for inst in corpus:
         try:
             check_h_theta_surjective(inst.system, inst.gens, 200)
@@ -227,12 +201,6 @@ def test_exact_c7_agrees_with_bounded_search(corpus):
         cert = conjecture_decompose(inst.system, inst.gens, Bounds(max_cosets=200))
         for kind, candidate in [("valid", cert)] + list(_tampered(inst.system, cert)):
             c7 = verify_certificate(inst.system, inst.gens, candidate, max_cosets=200).checks[6]
-            witness = _bounded_witness(inst.system, candidate, 8)
-            if witness is not None:
-                seen["witness"] += 1
-                assert c7.status == "fail", (kind, candidate)
-            if c7.status == "pass":
-                assert witness is None, (kind, candidate)
             assert (c7.status == "pass") == (kind == "valid"), (kind, c7.details)
             seen[kind] += 1
-    assert seen["valid"] >= 170 and seen["piece"] and seen["basis"] and seen["witness"], seen
+    assert seen["valid"] >= 170 and seen["piece"] and seen["basis"], seen
