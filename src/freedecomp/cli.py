@@ -1,7 +1,8 @@
 """Command-line interface: JSON in, certificates/reports/DOT out.
 
 Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
-exceeded, 3 invalid input.
+exceeded, 3 invalid input (including command-line usage errors), 4 internal
+error (an uncaught exception, reported as ``internal error: <type>: <msg>``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BOUND = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -154,6 +156,8 @@ def certificate_to_json(cert: ConjectureCertificate) -> dict:
 
 def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertificate:
     def words(items):
+        if not _is_list_of(items, str):
+            raise MalformedCertificate(f"expected a list of word strings, got {items!r}")
         try:
             return tuple(parse_word(system, "G", w) for w in items)
         except (ValueError, TypeError) as exc:
@@ -273,17 +277,17 @@ def cmd_member(args) -> int:
 
 
 def _merge_bounds(bounds: Bounds, args) -> Bounds:
-    return _checked_bounds(
-        max_cosets=args.max_cosets if args.max_cosets is not None else bounds.max_cosets,
-        tree_word_bound=args.tree_word_bound if args.tree_word_bound is not None else bounds.tree_word_bound,
-        tree_retries=args.tree_retries if args.tree_retries is not None else bounds.tree_retries,
-    )
+    """The file's bounds, overridden by the bound flags the subcommand has."""
+
+    def pick(name: str):
+        flag = getattr(args, name, None)
+        return getattr(bounds, name) if flag is None else flag
+
+    return _checked_bounds(pick("max_cosets"), pick("tree_word_bound"), pick("tree_retries"))
 
 
-def _add_bound_flags(p: argparse.ArgumentParser) -> None:
+def _add_max_cosets_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cosets", type=int, default=None, help="coset bound for completions (default 10000)")
-    p.add_argument("--tree-word-bound", type=int, default=None, help="image length bound in transversal search")
-    p.add_argument("--tree-retries", type=int, default=None, help="transversal retry budget (default 8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,47 +299,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="certificate.json")
     p.add_argument("--report", default=None, help="also write the report as JSON")
     p.add_argument("--dot", default=None, help="write the coset graph as DOT")
-    _add_bound_flags(p)
+    _add_max_cosets_flag(p)
+    p.add_argument("--tree-word-bound", type=int, default=None, help="image length bound in transversal search")
+    p.add_argument("--tree-retries", type=int, default=None, help="transversal retry budget (default 8)")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("kurosh", help="free-product decomposition of a subgroup")
     p.add_argument("system")
     p.add_argument("-o", "--output", default="-")
-    _add_bound_flags(p)
+    _add_max_cosets_flag(p)
     p.set_defaults(fn=cmd_kurosh)
 
     p = sub.add_parser("verify", help="re-verify a certificate")
     p.add_argument("system")
     p.add_argument("certificate")
     p.add_argument("-o", "--output", default=None)
-    _add_bound_flags(p)
+    _add_max_cosets_flag(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("graph", help="emit the subgroup graph as DOT")
     p.add_argument("system")
     p.add_argument("--complete", action="store_true", help="complete to the full coset graph first")
     p.add_argument("--dot", default="-", help="output path (default stdout)")
-    _add_bound_flags(p)
+    _add_max_cosets_flag(p)
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("normalform", help="normal form of a word")
     p.add_argument("system")
     p.add_argument("word")
     p.add_argument("--side", choices=("G", "B"), default="G")
-    _add_bound_flags(p)
     p.set_defaults(fn=cmd_normalform)
 
     p = sub.add_parser("member", help="test membership of a word in the subgroup")
     p.add_argument("system")
     p.add_argument("word")
-    _add_bound_flags(p)
     p.set_defaults(fn=cmd_member)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (IndexBoundExceeded, TreeBoundExceeded) as exc:
@@ -355,6 +362,9 @@ def main(argv=None) -> int:
     except (CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
         print(f"decomposition failed: {exc}", file=_sys.stderr)
         return EXIT_VERIFY_FAILED
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

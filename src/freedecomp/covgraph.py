@@ -31,6 +31,8 @@ from heapq import heappop, heappush
 from .fingroup import FiniteGroup, subgroup_closure
 from .freeprod import FactorSystem, Word
 
+Edge = tuple[int, int, int, int]  # (u, lam, g, v), read u --g--> v
+
 
 class IndexBoundExceeded(RuntimeError):
     """Completion needed more cosets than allowed; the subgroup index is
@@ -58,7 +60,6 @@ class CoreGraph:
     action: tuple[dict, ...]
     subgroup_gens: tuple[Word, ...]
     complete: bool
-    base: int = 0
 
 
 def _canonical_loop_label(group: FiniteGroup, g: int) -> int:
@@ -90,6 +91,8 @@ class LambdaComponent:
 
     ``coset_label[v]`` is the element a_v of G_lam with S a_root * a_v the
     coset of v over the stabilizer S of the root (a_root = identity).
+    ``tree`` holds the breadth-first spanning-tree edges (u, lam, g, v),
+    read u --g--> v, so a_v = a_u g.
     """
 
     lam: int
@@ -97,6 +100,7 @@ class LambdaComponent:
     root: int
     coset_label: dict
     stabilizer: frozenset[int]
+    tree: tuple[Edge, ...]
 
 
 class _Builder:
@@ -213,11 +217,16 @@ class _Builder:
                 if s:
                     sgens.add(s)
         stab = subgroup_closure(group, sgens)
+        # coset[x] = min(S x); scanning x upwards, the first x of a coset is its min
+        coset = [-1] * group.order
+        for x in range(group.order):
+            if coset[x] < 0:
+                for s in stab:
+                    coset[mul[s][x]] = x
         # merge vertices whose cosets coincide
         buckets: dict = {}
         for u in comp:
-            key = min(mul[s][label[u]] for s in stab)
-            buckets.setdefault(key, []).append(u)
+            buckets.setdefault(coset[label[u]], []).append(u)
         merged = False
         for key in sorted(buckets):
             group_vs = buckets[key]
@@ -229,18 +238,16 @@ class _Builder:
                 merged = True
         if merged:
             return  # refold first; the component stays dirty
-        # add all induced edges between the (now distinct) cosets
-        stab_sorted = sorted(stab)
+        # fill every empty slot whose target coset is present; the cosets are
+        # distinct, so each filled slot gets its one induced edge
+        at = {key: vs[0] for key, vs in buckets.items()}
         for u in comp:
-            lu_inv = inv[label[u]]
-            for v in comp:
-                lv = label[v]
-                for s in stab_sorted:
-                    g = mul[mul[lu_inv][s]][lv]
-                    if g:
+            adj_u, row = self.adj[u], mul[label[u]]
+            for g in range(1, group.order):
+                if (lam, g) not in adj_u:
+                    v = at.get(coset[row[g]])
+                    if v is not None:
                         self.add_edge(u, lam, g, v)
-        if self.pending:
-            return
         for u in comp:
             self.dirty.discard((lam, u))
 
@@ -269,12 +276,6 @@ class _Builder:
             v = self.find(w)
         lam, g = word[-1]
         self.add_edge(v, lam, g, self.find(0))
-
-    def seed_from_graph(self, graph: CoreGraph) -> None:
-        for _ in range(graph.vertex_count - 1):
-            self.new_vertex()
-        for u, lam, g, v in graph_edges(self.sys, graph):
-            self.add_edge(u, lam, g, v)
 
     def to_graph(self, gens: tuple[Word, ...]) -> CoreGraph:
         self.stabilize()
@@ -313,9 +314,11 @@ def complete_graph(sys: FactorSystem, core: CoreGraph, max_cosets: int) -> CoreG
     search is looser than ``max_cosets``; the bound itself is enforced on
     the finished graph.
     """
+    # a CoreGraph is folded and saturated, so its copy has no saturation job
     builder = _Builder(sys)
-    builder.seed_from_graph(core)
-    builder.stabilize()
+    builder.parent = list(range(core.vertex_count))
+    builder.adj = [dict(a) for a in core.action]
+    builder.live = core.vertex_count
     hard_cap = 2 * max_cosets + 8
     slots = [(lam, g) for lam in range(sys.num_factors) for g in range(1, sys.factors_g[lam].order)]
     v = 0
@@ -358,64 +361,54 @@ def membership(sys: FactorSystem, graph: CoreGraph, w: Word) -> bool:
     Exact on complete graphs (the full coset table); on cores this decides
     membership in the subgroup generated by ``subgroup_gens``.
     """
-    return trace(graph, w, graph.base) == graph.base
+    return trace(graph, w) == 0
 
 
 def lambda_components(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[LambdaComponent]:
     """Partition of all vertices into lam-edge components.
 
     Vertices without lam-edges become singleton components with trivial
-    stabilizer.  The component containing the base vertex comes first,
-    the rest follow by smallest vertex id.
+    stabilizer.  Each component is walked once, breadth-first from its
+    smallest vertex (its root), and components come by root, so the one of
+    the base vertex 0 is first.
     """
     group = sys.factors_g[lam]
     mul = group.mul
-    seen = set()
+    label: dict = {}
     comps = []
-    order_keys = []
-    for start in range(graph.vertex_count):
-        if start in seen:
+    for root in range(graph.vertex_count):
+        if root in label:
             continue
-        comp = [start]
-        seen.add(start)
+        label[root] = 0
+        comp = [root]
+        tree = []
         qi = 0
         while qi < len(comp):
             u = comp[qi]
             qi += 1
             for g in range(1, group.order):
                 v = graph.action[u].get((lam, g))
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        root = graph.base if graph.base in comp else min(comp)
-        label = {root: 0}
-        bfs = [root]
-        qi = 0
-        while qi < len(bfs):
-            u = bfs[qi]
-            qi += 1
-            for g in range(1, group.order):
-                v = graph.action[u].get((lam, g))
                 if v is not None and v not in label:
                     label[v] = mul[label[u]][g]
-                    bfs.append(v)
+                    comp.append(v)
+                    tree.append((u, lam, g, v))
         stab = frozenset({0} | {g for g in range(1, group.order) if graph.action[root].get((lam, g)) == root})
         comps.append(
             LambdaComponent(
                 lam=lam,
                 vertices=tuple(sorted(comp)),
                 root=root,
-                coset_label=label,
+                coset_label={v: label[v] for v in comp},
                 stabilizer=stab,
+                tree=tuple(tree),
             )
         )
-        order_keys.append((0 if graph.base in comp else 1, min(comp)))
-    return [c for _, c in sorted(zip(order_keys, comps), key=lambda t: t[0])]
+    return comps
 
 
 def _bfs_order(graph: CoreGraph) -> list[int]:
-    order = [graph.base]
-    seen = {graph.base}
+    order = [0]
+    seen = {0}
     qi = 0
     while qi < len(order):
         u = order[qi]
@@ -466,7 +459,7 @@ def to_dot(graph: CoreGraph) -> str:
     """DOT rendering: one arrow per action entry, base double-circled."""
     lines = ["digraph coregraph {", "  rankdir=LR;"]
     for v in range(graph.vertex_count):
-        shape = "doublecircle" if v == graph.base else "circle"
+        shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  v{v} [shape={shape}];')
     for v in range(graph.vertex_count):
         for (lam, g), w in sorted(graph.action[v].items()):

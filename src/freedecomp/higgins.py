@@ -49,18 +49,17 @@ class ThetaTree:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
+    """Schreier generators of H_lam and, per lam-component in the order of
+    ``lambda_components``, the inverse transversal word of its root."""
+
     lam: int
     gens: tuple[Word, ...]
     betas: tuple[Word, ...]
-    roots: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class HigginsDecomposition:
     factors: tuple[FactorDecomposition, ...]
-
-    def gens_for(self, lam: int) -> tuple[Word, ...]:
-        return self.factors[lam].gens
 
 
 def _label_order(sys: FactorSystem, order_seed: int) -> list[tuple[int, int]]:
@@ -94,7 +93,7 @@ def build_theta_tree(
     labels = _label_order(sys, order_seed)
 
     p: list[Word | None] = [None] * n
-    p[graph.base] = EMPTY
+    p[0] = EMPTY
 
     kernel_labels = [(lam, g) for lam, g in labels if sys.theta[lam].map[g] == 0]
 
@@ -110,7 +109,7 @@ def build_theta_tree(
                 p[v] = multiply(sys, "G", p[u], ((lam, g),))
                 queue.append(v)
 
-    kernel_closure(graph.base)
+    kernel_closure(0)
 
     uncovered = [v for v in range(n) if p[v] is None]
     if not uncovered:
@@ -150,7 +149,7 @@ def build_theta_tree(
     budget_hit = bool(squeue)  # states were left when the budget stopped the search
     uncovered = [v for v in range(n) if p[v] is None]
     if uncovered:
-        base_images = [img for img in arrivals[graph.base] if img != EMPTY]
+        base_images = [img for img in arrivals[0] if img != EMPTY]
         base_set = set(base_images)
         for v in list(uncovered):
             if p[v] is not None:
@@ -158,7 +157,7 @@ def build_theta_tree(
             match = next((img for img in arrivals[v] if img in base_set), None)
             if match is None:
                 continue
-            h = visited[(graph.base, match)]
+            h = visited[(0, match)]
             q = visited[(v, match)]
             p[v] = multiply(sys, "G", invert(sys, "G", h), q)
             kernel_closure(v)
@@ -191,18 +190,16 @@ def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> H
         gens.sort(key=lambda w: (len(w), w))
 
         betas = []
-        roots = []
         for comp in lambda_components(sys, graph, lam):
             beta = invert(sys, "G", p[comp.root])
             assert theta_word(sys, beta) == EMPTY
             betas.append(beta)
-            roots.append(comp.root)
 
         for w in gens:
             img = theta_word(sys, w)
             assert all(l2 == lam for l2, _ in img)
 
         per_factor.append(
-            FactorDecomposition(lam=lam, gens=tuple(gens), betas=tuple(betas), roots=tuple(roots))
+            FactorDecomposition(lam=lam, gens=tuple(gens), betas=tuple(betas))
         )
     return HigginsDecomposition(factors=tuple(per_factor))

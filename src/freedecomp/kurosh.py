@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, LambdaComponent, lambda_components
+from .covgraph import CoreGraph, Edge, LambdaComponent, lambda_components
 from .fingroup import subgroup_conjugacy_key
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
-
-Edge = tuple[int, int, int, int]  # (u, lam, g, v), read u --g--> v
 
 
 class DisconnectedUnion(RuntimeError):
@@ -23,11 +21,11 @@ class DisconnectedUnion(RuntimeError):
 
 @dataclass(frozen=True)
 class SpanningData:
-    """Per-component spanning trees, a global tree inside their union, and
-    the transversal words read along the global tree from the base."""
+    """The lam-components with their spanning trees, a global tree inside
+    the union of those trees, and the transversal words read along the
+    global tree from the base."""
 
     components: tuple[LambdaComponent, ...]
-    component_trees: tuple[tuple[Edge, ...], ...]
     global_tree: tuple[Edge, ...]
     transversal: tuple[Word, ...]
 
@@ -56,24 +54,6 @@ class KuroshInvariants:
     free_rank: int
 
 
-def _component_tree(sys: FactorSystem, graph: CoreGraph, comp: LambdaComponent) -> tuple[Edge, ...]:
-    group = sys.factors_g[comp.lam]
-    tree: list[Edge] = []
-    seen = {comp.root}
-    queue = [comp.root]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for g in range(1, group.order):
-            v = graph.action[u].get((comp.lam, g))
-            if v is not None and v not in seen:
-                seen.add(v)
-                tree.append((u, comp.lam, g, v))
-                queue.append(v)
-    return tuple(tree)
-
-
 def _canonical_edge(sys: FactorSystem, edge: Edge) -> Edge:
     u, lam, g, v = edge
     if u > v:
@@ -82,26 +62,21 @@ def _canonical_edge(sys: FactorSystem, edge: Edge) -> Edge:
 
 
 def spanning_data(sys: FactorSystem, graph: CoreGraph) -> SpanningData:
-    comps: list[LambdaComponent] = []
-    trees: list[tuple[Edge, ...]] = []
-    for lam in range(sys.num_factors):
-        for comp in lambda_components(sys, graph, lam):
-            comps.append(comp)
-            trees.append(_component_tree(sys, graph, comp))
+    comps = [comp for lam in range(sys.num_factors) for comp in lambda_components(sys, graph, lam)]
 
     # global tree: BFS from base over the union of the component trees
     nbrs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(graph.vertex_count)}
-    for tree in trees:
-        for u, lam, g, v in tree:
+    for comp in comps:
+        for u, lam, g, v in comp.tree:
             nbrs[u].append((lam, g, v))
             nbrs[v].append((lam, sys.factors_g[lam].inv[g], u))
     for v in nbrs:
         nbrs[v].sort()
 
     transversal: list[Word | None] = [None] * graph.vertex_count
-    transversal[graph.base] = EMPTY
+    transversal[0] = EMPTY
     global_tree: list[Edge] = []
-    queue = [graph.base]
+    queue = [0]
     qi = 0
     while qi < len(queue):
         u = queue[qi]
@@ -116,7 +91,6 @@ def spanning_data(sys: FactorSystem, graph: CoreGraph) -> SpanningData:
 
     return SpanningData(
         components=tuple(comps),
-        component_trees=tuple(trees),
         global_tree=tuple(global_tree),
         transversal=tuple(transversal),  # type: ignore[arg-type]
     )
@@ -157,8 +131,8 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
 
     tau = {_canonical_edge(sys, e) for e in data.global_tree}
     basis = []
-    for tree in data.component_trees:
-        for edge in tree:
+    for comp in data.components:
+        for edge in comp.tree:
             if _canonical_edge(sys, edge) in tau:
                 continue
             u, lam, g, v = edge

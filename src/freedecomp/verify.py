@@ -213,7 +213,7 @@ def check_certificate(
                     vertex_orbit[v] = i
             rep_orbits = []
             for x in fc.reps:
-                v = trace(graph, invert(sys, "G", x), graph.base)
+                v = trace(graph, invert(sys, "G", x))
                 rep_orbits.append(vertex_orbit[v])
             if len(set(rep_orbits)) != len(rep_orbits):
                 bad.append(f"factor {fc.lam}: two representatives share a double coset")
@@ -221,7 +221,7 @@ def check_certificate(
             if set(rep_orbits) != nontrivial:
                 bad.append(f"factor {fc.lam}: representatives do not match the nontrivial double cosets")
             base_has_stab = any(
-                graph.action[graph.base].get((fc.lam, g)) == graph.base for g in range(1, group.order)
+                graph.action[0].get((fc.lam, g)) == 0 for g in range(1, group.order)
             )
             if base_has_stab and EMPTY not in fc.reps:
                 bad.append(f"factor {fc.lam}: trivial representative missing")

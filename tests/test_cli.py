@@ -1,7 +1,9 @@
+import copy
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedecomp import build_core as real_build_core
 from freedecomp import cli, conjecture, verify
@@ -284,3 +286,157 @@ def test_rejection_names_every_retry(tmp_path, capsys):
     assert "all 8 transversal retries rejected" in err
     for order_seed in range(8):
         assert f"order_seed {order_seed}: H_1 has a nontrivial piece in factor 0" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("decompose", {"--max-cosets", "--tree-word-bound", "--tree-retries"}),
+        ("kurosh", {"--max-cosets"}),
+        ("verify", {"--max-cosets"}),
+        ("graph", {"--max-cosets"}),
+        ("normalform", set()),
+        ("member", set()),
+    ],
+)
+def test_bound_flags_only_where_read(capsys, command, flags):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    bound_flags = {"--max-cosets", "--tree-word-bound", "--tree-retries"}
+    assert {f for f in bound_flags if f in out} == flags
+
+
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    assert main(["member", sys_file, "0:1", "--max-cosets", "0"]) == 3
+    assert "unrecognized arguments: --max-cosets 0" in capsys.readouterr().err
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    assert main(["verify", sys_file, cert_file, "--tree-retries", "0"]) == 3
+    assert "unrecognized arguments: --tree-retries 0" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
+    assert main(["bogus"]) == 3
+    assert main([]) == 3
+    assert main(["kurosh"]) == 3
+    assert main(["kurosh", write(tmp_path, "sys.json", SYS_B), "--max-cosets", "many"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_uncaught_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "kurosh_decompose", crash)
+    assert main(["kurosh", write(tmp_path, "sys.json", SYS_B)]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("factors", 0, "reps"), [[]]),
+        (("factors", 0, "f_basis"), [["0:1"]]),
+        (("factors", 0, "beta_list"), [None]),
+        (("factors", 0, "vertex_groups"), ["0:1"]),
+        (("factors", 0, "vertex_groups"), [[7]]),
+        (("factors", 1, "h_lambda_gens"), [{}]),
+        (("h_generators",), [1]),
+        (("tree_transversal",), "0:1"),
+    ],
+)
+def test_malformed_certificate_word_is_invalid_input(tmp_path, capsys, path, value):
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    _set_path(cert, path, value)
+    bad_file = write(tmp_path, "bad.json", cert)
+    capsys.readouterr()
+    assert main(["verify", sys_file, bad_file]) == 3
+    assert "invalid input: expected a list of word strings" in capsys.readouterr().err
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.sampled_from(["", "0:1", "1:1 0:1 1:1", "0:2", "2:1", "1:", "x", "cyclic 2", "sym 3", "cyclic 0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["lam", "table", "max_cosets", "reps", "factors", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two nodes replaced by small JSON values or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if path and draw(st.booleans()):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        elif path:
+            _set_path(doc, path, draw(_JSON_VALUES))
+        else:
+            doc = draw(_JSON_VALUES)
+    return doc
+
+
+def _fuzz_files(directory):
+    # every command runs on a valid system file and certificate first
+    sys_file = directory / "sys.json"
+    cert_file = directory / "cert.json"
+    if not cert_file.exists():
+        sys_file.write_text(json.dumps(dict(SYS_A, bounds={"max_cosets": 64})), encoding="utf-8")
+        assert main(["decompose", str(sys_file), "-o", str(cert_file)]) == 0
+    return json.loads(sys_file.read_text()), json.loads(cert_file.read_text())
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_exit_0_to_3(tmp_path_factory, data):
+    # every input ends in a documented exit code, never an internal error
+    directory = tmp_path_factory.getbasetemp() / "fuzz"
+    directory.mkdir(exist_ok=True)
+    system, cert = _fuzz_files(directory)
+    if data.draw(st.booleans(), label="mutate the system"):
+        system = data.draw(_mutated(system), label="system")
+    else:
+        cert = data.draw(_mutated(cert), label="certificate")
+    sys_file = directory / "mutated-sys.json"
+    cert_file = directory / "mutated-cert.json"
+    sys_file.write_text(json.dumps(system), encoding="utf-8")
+    cert_file.write_text(json.dumps(cert), encoding="utf-8")
+    bound = ["--max-cosets", "64"]
+    for argv in (
+        ["verify", str(sys_file), str(cert_file), *bound],
+        ["kurosh", str(sys_file), *bound],
+        ["decompose", str(sys_file), "-o", str(directory / "out.json"), *bound, "--tree-retries", "2"],
+        ["member", str(sys_file), "1:1 0:1 1:1"],
+        ["normalform", str(sys_file), "0:1 1:1", "--side", "B"],
+    ):
+        assert main(argv) in (0, 1, 2, 3), argv

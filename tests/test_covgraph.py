@@ -336,3 +336,68 @@ def test_completion_that_stays_partial_raises(sys_a, sys_a_gens, monkeypatch):
     )
     with pytest.raises(GraphNotComplete, match="undefined action"):
         complete_graph(sys_a, build_core(sys_a, sys_a_gens), 100)
+
+
+def test_completion_copies_a_complete_core(corpus, monkeypatch):
+    # a finished graph is folded and saturated: completing it again runs no
+    # saturation job and returns it unchanged
+    jobs = []
+    saturate = covgraph._Builder._saturate
+
+    def logged(self, lam, v):
+        jobs.append((lam, v))
+        saturate(self, lam, v)
+
+    monkeypatch.setattr(covgraph._Builder, "_saturate", logged)
+    graphs = [(inst.system, inst.graph) for inst in corpus[:60]]
+    ps = z2z3_point_stabilizer(120)
+    graphs.append((ps.system, complete_graph(ps.system, build_core(ps.system, ps.gens), ps.index)))
+    for sys, graph in graphs:
+        jobs.clear()
+        assert complete_graph(sys, graph, graph.vertex_count) == graph
+        assert jobs == []
+
+
+def test_saturation_adds_only_missing_edges(corpus, monkeypatch):
+    # each add_edge call that _saturate makes fills an empty slot
+    calls = []
+    saturate, add_edge = covgraph._Builder._saturate, covgraph._Builder.add_edge
+
+    def saturating(self, lam, v):
+        self.saturating = True
+        saturate(self, lam, v)
+        self.saturating = False
+
+    def logged(self, u, lam, g, v):
+        changed = add_edge(self, u, lam, g, v)
+        if getattr(self, "saturating", False):
+            calls.append(changed)
+        return changed
+
+    monkeypatch.setattr(covgraph._Builder, "_saturate", saturating)
+    monkeypatch.setattr(covgraph._Builder, "add_edge", logged)
+    systems = [(inst.system, inst.gens, 60) for inst in corpus]
+    systems += [(ps.system, ps.gens, ps.index) for ps in map(z2z3_point_stabilizer, (12, 60, 120, 180, 240, 300))]
+    for sys, gens, max_cosets in systems:
+        complete_graph(sys, build_core(sys, gens), max_cosets)
+    assert calls and all(calls)
+
+
+def test_component_trees_span_with_coset_labels(corpus):
+    graphs = [(inst.system, inst.graph) for inst in corpus]
+    ps = z2z3_point_stabilizer(300)
+    graphs.append((ps.system, complete_graph(ps.system, build_core(ps.system, ps.gens), ps.index)))
+    for sys, graph in graphs:
+        for lam in range(sys.num_factors):
+            mul = sys.factors_g[lam].mul
+            comps = lambda_components(sys, graph, lam)
+            assert [c.root for c in comps] == sorted(min(c.vertices) for c in comps)
+            for comp in comps:
+                assert len(comp.tree) == len(comp.vertices) - 1
+                reached = {comp.root}
+                for u, l2, g, v in comp.tree:
+                    assert l2 == lam and u in reached and v not in reached
+                    assert graph.action[u][(lam, g)] == v
+                    assert comp.coset_label[v] == mul[comp.coset_label[u]][g]
+                    reached.add(v)
+                assert reached == set(comp.vertices) == set(comp.coset_label)

@@ -154,21 +154,22 @@ def test_inclusion_of_conjugated_stabilizers(corpus):
             if not fd.gens:
                 continue
             core = build_core(sys, fd.gens)
-            for beta, root in zip(fd.betas, fd.roots):
-                p_root = tree.transversal[root]
-                for comp in lambda_components(sys, inst.graph, fd.lam):
-                    if comp.root != root:
+            # betas come in component order, one per component root
+            comps = lambda_components(sys, inst.graph, fd.lam)
+            assert len(fd.betas) == len(comps)
+            for beta, comp in zip(fd.betas, comps):
+                p_root = tree.transversal[comp.root]
+                assert beta == invert(sys, "G", p_root)
+                for s in sorted(comp.stabilizer):
+                    if s == 0:
                         continue
-                    for s in sorted(comp.stabilizer):
-                        if s == 0:
-                            continue
-                        word = multiply(
-                            sys,
-                            "G",
-                            multiply(sys, "G", p_root, ((fd.lam, s),)),
-                            invert(sys, "G", p_root),
-                        )
-                        assert membership(sys, core, word)
+                    word = multiply(
+                        sys,
+                        "G",
+                        multiply(sys, "G", p_root, ((fd.lam, s),)),
+                        invert(sys, "G", p_root),
+                    )
+                    assert membership(sys, core, word)
 
 
 def test_tree_word_bound_zero(sys_phase2, sys_phase2_gens):

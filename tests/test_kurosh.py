@@ -56,10 +56,10 @@ def test_spanning_structure_properties(corpus):
         data = spanning_data(inst.system, inst.graph)
         for v, word in enumerate(data.transversal):
             assert trace(inst.graph, word, 0) == v
-        for comp, tree in zip(data.components, data.component_trees):
-            assert len(tree) == len(comp.vertices) - 1
+        for comp in data.components:
+            assert len(comp.tree) == len(comp.vertices) - 1
             reached = {comp.root}
-            for u, lam, g, v in tree:
+            for u, lam, g, v in comp.tree:
                 assert u in reached
                 reached.add(v)
             assert reached == set(comp.vertices)
