@@ -2,8 +2,11 @@
 
 Elements are indices 0..order-1 and index 0 is always the identity;
 tables whose identity sits elsewhere are re-indexed on validation.
-Every group axiom is checked exhaustively once, so downstream code can
-trust the tables without rechecking.
+Every group axiom is decided once, so downstream code can trust the tables
+without rechecking.  Associativity and the homomorphism law are checked on
+a generating set only (``_generators``): the elements a for which
+(xa)y = x(ay), or map(xa) = map(x)map(a), holds for every x and y are
+closed under products, so a law that holds on generators holds everywhere.
 """
 
 from __future__ import annotations
@@ -71,10 +74,47 @@ def _reindexed(table: list[list[int]], e: int) -> list[list[int]]:
     return [[sigma[table[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
 
 
+def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Elements, in index order, that each lie outside the closure of {0}
+    under right multiplication by the ones before; together they reach
+    every element.  Uses only the table, and reaches each element once."""
+    n = len(rows)
+    reached = [False] * n
+    reached[0] = True
+    closure = [0]
+    gens: list[int] = []
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        fresh = []
+        for x in closure:
+            y = rows[x][g]
+            if not reached[y]:
+                reached[y] = True
+                fresh.append(y)
+        for x in fresh:  # fresh grows while it is walked
+            row = rows[x]
+            for a in gens:
+                y = row[a]
+                if not reached[y]:
+                    reached[y] = True
+                    fresh.append(y)
+        closure.extend(fresh)
+    return gens
+
+
 def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a multiplication table and return the finished group.
 
-    Raises MalformedTable, NoIdentity, NotInvertible or NotAssociative.
+    Raises MalformedTable, NoIdentity, NotInvertible or NotAssociative, in
+    that order of precedence.  Associativity is Light's test: (xa)y = x(ay)
+    for all x, y and each a of ``_generators``, O(n^2 k) with k <= log2 n
+    for a group instead of the O(n^3) triple loop.  It is exact: if a and b
+    pass, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so the
+    passing elements are closed under products, and every element is a
+    product of generators.  NotAssociative names a failing triple in the
+    labels of ``table``.
     """
     n = len(table)
     if n == 0:
@@ -98,20 +138,24 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
         raise NoIdentity("no two-sided identity element")
     if identity != 0:
         rows = _reindexed(rows, identity)
+    label = {0: identity, identity: 0}  # errors name the input's own labels
 
     full = set(range(n))
     for x in range(n):
         if set(rows[x]) != full:
-            raise NotInvertible(f"row {x} is not a permutation")
+            raise NotInvertible(f"row {label.get(x, x)} is not a permutation")
         if {rows[y][x] for y in range(n)} != full:
-            raise NotInvertible(f"column {x} is not a permutation")
+            raise NotInvertible(f"column {label.get(x, x)} is not a permutation")
 
-    for x in range(n):
-        for y in range(n):
-            xy = rows[x][y]
-            for z in range(n):
-                if rows[xy][z] != rows[x][rows[y][z]]:
-                    raise NotAssociative(f"({x}{y}){z} != {x}({y}{z})")
+    for a in _generators(rows):
+        row_a = rows[a]
+        for x in range(n):
+            row_x = rows[x]
+            row_xa = rows[row_x[a]]
+            if row_xa != [row_x[t] for t in row_a]:
+                y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
+                x, a, y = (label.get(v, v) for v in (x, a, y))
+                raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
 
     inv = [0] * n
     for x in range(n):
@@ -162,7 +206,14 @@ class GroupHom:
 
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
-    """Check the homomorphism law, map[0] = 0 and surjectivity."""
+    """Check map[0] = 0, the homomorphism law and surjectivity.
+
+    The law is checked as map(xa) = map(x)map(a) for all x and each a of
+    ``_generators(source.mul)``, O(n k) instead of O(n^2).  It is exact
+    because the source is associative: if it holds for a and b, then
+    map(x(ab)) = map((xa)b) = map(xa)map(b) = map(x)map(a)map(b) =
+    map(x)map(ab), and every element is a product of generators.
+    """
     m = list(mapping)
     if len(m) != source.order:
         raise NotAHomomorphism(f"map has length {len(m)}, expected {source.order}")
@@ -171,10 +222,11 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int
             raise NotAHomomorphism(f"image {b!r} out of range 0..{target.order - 1}")
     if m[0] != 0:
         raise NotAHomomorphism("identity must map to identity")
-    for x in range(source.order):
-        for y in range(source.order):
-            if m[source.mul[x][y]] != target.mul[m[x]][m[y]]:
-                raise NotAHomomorphism(f"map({x}{y}) != map({x})map({y})")
+    for a in _generators(source.mul):
+        ma = m[a]
+        for x, row_x in enumerate(source.mul):
+            if m[row_x[a]] != target.mul[m[x]][ma]:
+                raise NotAHomomorphism(f"map({x}*{a}) != map({x})*map({a})")
     if set(m) != set(range(target.order)):
         raise NotSurjective("factor map must be onto its target group")
     return GroupHom(source=source, target=target, map=tuple(m))

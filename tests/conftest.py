@@ -32,9 +32,34 @@ S3 = sym(3)
 TRIV = cyclic(1)
 
 
+# A Latin square with identity 0 (a loop) that is not associative.
+NONASSOC_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def sign_map(n: int) -> list[int]:
+    """The sign of each element of ``sym(n)``, as a map onto Z2."""
+    perms = sorted(itertools.permutations(range(n)))
+    return [sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]) % 2 for p in perms]
+
+
 def sign_map_s3() -> list[int]:
-    perms = sorted(itertools.permutations(range(3)))
-    return [sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j]) % 2 for p in perms]
+    return sign_map(3)
+
+
+def relabel(table, perm) -> list[list[int]]:
+    """The table with each element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ package's fold/saturate builder, so agreement between the two is meaningful
 evidence.  ``brute_force_members`` enumerates products of generators,
 ``rank_formula`` counts the free rank from component sizes, and
 ``LinearScanBuilder`` is the graph builder with its original job choice,
-a linear scan for the smallest dirty job.
+a linear scan for the smallest dirty job.  ``cubic_associative`` and
+``all_pairs_hom`` are the exhaustive group-table checks that Light's test
+and the law on generators replaced in ``fingroup``.
 """
 
 from __future__ import annotations
@@ -257,3 +259,25 @@ class LinearScanBuilder(covgraph._Builder):
                 continue
             self._saturate(lam, v)
 
+
+def cubic_associative(rows) -> tuple[int, int, int] | None:
+    """The first triple (x, y, z) in index order with (xy)z != x(yz), or
+    None; the O(n^3) loop ``validate_group`` ran before Light's test."""
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            xy = rows[x][y]
+            for z in range(n):
+                if rows[xy][z] != rows[x][rows[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def all_pairs_hom(source, target, m) -> tuple[int, int] | None:
+    """The first pair (x, y) in index order with m(xy) != m(x)m(y), or None;
+    the O(n^2) loop ``validate_hom`` ran before the law on generators."""
+    for x in range(source.order):
+        for y in range(source.order):
+            if m[source.mul[x][y]] != target.mul[m[x]][m[y]]:
+                return (x, y)
+    return None

@@ -1,15 +1,20 @@
 import copy
 import itertools
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedecomp import build_core as real_build_core
-from freedecomp import cli, conjecture, verify
+from freedecomp import cli, conjecture, fingroup, verify
 from freedecomp.cli import main
 from freedecomp.conjecture import canonical_generators
-from freedecomp.fingroup import sym
+from freedecomp.fingroup import FiniteGroup, sym
+
+from conftest import NONASSOC_LOOP, relabel, sign_map
+from naive_enum import cubic_associative
 
 SYS_A = {
     "factors_G": ["cyclic 2", "cyclic 2"],
@@ -127,6 +132,59 @@ def test_non_positive_max_cosets_flag_is_invalid_input(tmp_path, capsys):
     sys_file = write(tmp_path, "sys.json", SYS_B)
     assert main(["kurosh", sys_file, "--max-cosets", "0"]) == 3
     assert "max_cosets must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table", [NONASSOC_LOOP, relabel(NONASSOC_LOOP, [3, 1, 2, 0, 4])], ids=["identity-0", "identity-3"]
+)
+def test_non_associative_table_is_invalid_input(tmp_path, capsys, table):
+    sys_file = write(tmp_path, "sys.json", {"factors_G": [table, "cyclic 2"], "subgroup": ["1:1"]})
+    for argv in (["kurosh", sys_file], ["decompose", sys_file, "-o", str(tmp_path / "c.json")]):
+        assert main(argv) == 3
+        named = re.search(r"invalid input: \((\d+)\*(\d+)\)\*(\d+) != ", capsys.readouterr().err)
+        x, a, y = map(int, named.groups())
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+
+
+@pytest.mark.parametrize(
+    "source, target, theta",
+    [
+        ("sym 3", "cyclic 2", [s ^ (x == 3) for x, s in enumerate(sign_map(3))]),
+        ("cyclic 4", "cyclic 2", [0, 1, 0, 0]),
+    ],
+    ids=["S3-sign-broken-at-3", "Z4-mod-2-broken-at-3"],
+)
+def test_non_homomorphic_theta_is_invalid_input(tmp_path, capsys, source, target, theta):
+    group = cli._load_group(source, "G0")
+    assert 3 not in fingroup._generators(group.mul)  # theta breaks the law off the generators
+    data = {"factors_G": [source], "factors_B": [target], "theta": [theta], "subgroup": []}
+    sys_file = write(tmp_path, "sys.json", data)
+    for argv in (["kurosh", sys_file], ["decompose", sys_file, "-o", str(tmp_path / "c.json")]):
+        assert main(argv) == 3
+        named = re.search(r"invalid input: map\((\d+)\*(\d+)\) != ", capsys.readouterr().err)
+        x, a = map(int, named.groups())
+        image = cli._load_group(target, "B0")
+        assert theta[group.mul[x][a]] != image.mul[theta[x]][theta[a]]
+
+
+def test_large_tables_load_as_the_oracle_validates_them():
+    # A relabelled S5 with its identity off index 0 and the shorthand Z400.
+    perm = list(range(120))
+    random.Random(5).shuffle(perm)
+    s5 = relabel(sym(5).mul, perm)
+    system, _, _ = cli.load_system({"factors_G": ["cyclic 400", {"name": "S5", "table": s5}]})
+    z400, loaded_s5 = system.factors_g
+
+    # Z400 is associative by arithmetic; the cubic oracle would take seconds.
+    z400_rows = tuple(tuple((i + j) % 400 for j in range(400)) for i in range(400))
+    assert z400 == FiniteGroup(400, z400_rows, tuple(-i % 400 for i in range(400)), "Z400")
+    assert cubic_associative(s5) is None
+    e = perm[0]
+    swap = list(range(120))
+    swap[0], swap[e] = e, 0
+    rows = relabel(s5, swap)
+    assert loaded_s5 == FiniteGroup(120, tuple(map(tuple, rows)), tuple(row.index(0) for row in rows), "S5")
+    assert [h.map for h in system.theta] == [tuple(range(400)), tuple(range(120))]
 
 
 def test_kurosh_sys_b(tmp_path, capsys):
