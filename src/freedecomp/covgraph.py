@@ -13,13 +13,17 @@ Two invariants are maintained:
   S <= G_lam, equal cosets are merged, and exactly the induced edges
   between present cosets exist.
 
-Construction starts from a wedge of generator cycles at the base vertex
-and alternates folding (merging conflict targets through a union-find)
-with per-component saturation until nothing changes.  Merging strictly
-decreases the vertex count and saturation only adds edges between present
-vertices, so the loop terminates.  Completion then grows the graph
-Todd-Coxeter style until the action is total, which at finite index yields
-the full coset graph.
+Construction closes each generator into a loop at the base vertex, reusing
+the edges earlier loops already define: the word is scanned from both ends
+and new vertices fill only the gap, as in coset enumeration (Sims,
+*Computation with Finitely Presented Groups*, 1994, ch. 5).  The result is
+a quotient of the wedge of generator cycles by merges folding would make
+anyway.  Construction then alternates folding (merging conflict targets
+through a union-find) with per-component saturation until nothing
+changes.  Merging strictly decreases the vertex count and saturation only
+adds edges between present vertices, so the loop terminates.  Completion
+then grows the graph Todd-Coxeter style until the action is total, which
+at finite index yields the full coset graph.
 """
 
 from __future__ import annotations
@@ -267,15 +271,47 @@ class _Builder:
             self._saturate(lam, v)
 
     def add_generator_cycle(self, word: Word) -> None:
-        if not word:
+        """Close ``word`` into a loop at the base, scanning from both ends.
+
+        The word is read forward from the base along existing edges as far
+        as they go, and the rest backward from the base (by inverse
+        syllables) the same way; vertices are created only for the gap
+        between the two ends, and one edge closes the gap.  With no gap the
+        two ends are the same coset and their merge is queued.
+
+        Each followed edge lies on the cycle of an earlier generator, so
+        following it instead of creating a vertex only anticipates a fold
+        of the wedge of generator cycles (two equally labelled edges at one
+        vertex).  The graph is thus a quotient of that wedge by merges that
+        folding derives anyway, and folding and saturating it gives the
+        same graph as the wedge, up to vertex numbering.
+        """
+        adj, find, groups = self.adj, self.find, self.groups
+        base = find(0)
+        n = len(word)
+        f, i = base, 0
+        while i < n:
+            w = adj[f].get(word[i])
+            if w is None:
+                break
+            f, i = find(w), i + 1
+        b, j = base, n
+        while j > i:
+            lam, g = word[j - 1]
+            w = adj[b].get((lam, groups[lam].inv[g]))
+            if w is None:
+                break
+            b, j = find(w), j - 1
+        if j == i:
+            if f != b:
+                self.pending.append((f, b))
             return
-        v = self.find(0)
-        for lam, g in word[:-1]:
+        for lam, g in word[i : j - 1]:
             w = self.new_vertex()
-            self.add_edge(v, lam, g, w)
-            v = self.find(w)
-        lam, g = word[-1]
-        self.add_edge(v, lam, g, self.find(0))
+            self.add_edge(f, lam, g, w)
+            f = w
+        lam, g = word[j - 1]
+        self.add_edge(f, lam, g, b)
 
     def to_graph(self, gens: tuple[Word, ...]) -> CoreGraph:
         self.stabilize()

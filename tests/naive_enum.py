@@ -7,9 +7,13 @@ package's fold/saturate builder, so agreement between the two is meaningful
 evidence.  ``brute_force_members`` enumerates products of generators,
 ``rank_formula`` counts the free rank from component sizes, and
 ``LinearScanBuilder`` is the graph builder with its original job choice,
-a linear scan for the smallest dirty job.  ``cubic_associative`` and
-``all_pairs_hom`` are the exhaustive group-table checks that Light's test
-and the law on generators replaced in ``fingroup``.
+a linear scan for the smallest dirty job.  ``WedgeBuilder`` is the builder
+with its original seeding, one new vertex per syllable of every generator
+(a wedge of cycles at the base), which the two-ended scan of
+``_Builder.add_generator_cycle`` must fold to the same graph.
+``cubic_associative`` and ``all_pairs_hom`` are the exhaustive group-table
+checks that Light's test and the law on generators replaced in
+``fingroup``.
 """
 
 from __future__ import annotations
@@ -258,6 +262,22 @@ class LinearScanBuilder(covgraph._Builder):
                 self.dirty.discard((lam, v))
                 continue
             self._saturate(lam, v)
+
+
+class WedgeBuilder(covgraph._Builder):
+    """The builder seeding each generator as a fresh cycle at the base,
+    leaving every shared prefix and suffix to folding."""
+
+    def add_generator_cycle(self, word: Word) -> None:
+        if not word:
+            return
+        v = self.find(0)
+        for lam, g in word[:-1]:
+            w = self.new_vertex()
+            self.add_edge(v, lam, g, w)
+            v = self.find(w)
+        lam, g = word[-1]
+        self.add_edge(v, lam, g, self.find(0))
 
 
 def cubic_associative(rows) -> tuple[int, int, int] | None:

@@ -12,10 +12,10 @@ from freedecomp import (
     theta_word,
 )
 from freedecomp.cli import certificate_to_json
-from freedecomp.conjecture import Bounds, canonical_generators, check_h_theta_surjective
+from freedecomp.conjecture import Bounds, canonical_generators, check_h_theta_surjective, decompose_and_check
 from freedecomp.freeprod import EMPTY, invert, make_system, parse_word
 
-from conftest import S3, TRIV, Z2, sign_map_s3
+from conftest import S3, TRIV, Z2, sign_map_s3, z2z3_point_stabilizer
 
 
 def w(sys, text):
@@ -147,3 +147,15 @@ def test_system_hash_sensitivity(sys_a, sys_b):
 def test_canonical_generators():
     assert canonical_generators([(), ((0, 1),), ((0, 1),)]) == (((0, 1),),)
     assert canonical_generators([((1, 1),), ((0, 1),)]) == (((0, 1),), ((1, 1),))
+
+
+def test_decompose_at_index_1200():
+    # two fixed points of a give two Z2 pieces and three of b three Z3
+    # pieces; theta kills Z3, so all 198 free generators land in factor 0
+    ps = z2z3_point_stabilizer(1200, fixed=(2, 3))
+    cert, report, graph = decompose_and_check(ps.system, ps.gens)
+    assert report.verdict and graph.vertex_count == 1200
+    fc0, fc1 = cert.factors
+    assert [len(vg) for vg in fc0.vertex_groups] == [1, 1] and len(fc0.f_basis) == 198
+    assert [len(vg) for vg in fc1.vertex_groups] == [2, 2, 2] and fc1.f_basis == ()
+    assert ps.free_rank == 198

@@ -16,7 +16,7 @@ from freedecomp import (
 )
 from freedecomp import covgraph
 from freedecomp.covgraph import graph_edges, trace
-from freedecomp.freeprod import EMPTY, parse_word
+from freedecomp.freeprod import EMPTY, invert, multiply, normalize, parse_word
 
 from conftest import enumerate_ball, z2z3_point_stabilizer
 
@@ -401,3 +401,126 @@ def test_component_trees_span_with_coset_labels(corpus):
                     assert comp.coset_label[v] == mul[comp.coset_label[u]][g]
                     reached.add(v)
                 assert reached == set(comp.vertices) == set(comp.coset_label)
+
+
+def _wedge_core_and_completion(sys, gens, max_cosets):
+    from naive_enum import WedgeBuilder
+
+    with pytest.MonkeyPatch.context() as wedge:
+        wedge.setattr(covgraph, "_Builder", WedgeBuilder)
+        return _core_and_completion(sys, gens, max_cosets)
+
+
+def _encodings(graphs):
+    return [canonical_encoding(g) for g in graphs]
+
+
+def test_scan_matches_wedge_seeding(corpus):
+    # the two-ended scan only anticipates folds of the wedge of generator
+    # cycles, so both seedings give the same core and completion up to
+    # vertex numbering; the raw graphs may differ
+    systems = [(inst.system, inst.gens, 60) for inst in corpus]
+    systems += [(ps.system, ps.gens, ps.index) for ps in map(z2z3_point_stabilizer, (12, 60, 300, 1200, 4800))]
+    for sys, gens, max_cosets in systems:
+        scanned = _core_and_completion(sys, gens, max_cosets)
+        assert _encodings(scanned) == _encodings(_wedge_core_and_completion(sys, gens, max_cosets))
+    assert scanned[1].vertex_count == 4800
+
+
+def _loops_at_base(graph, words):
+    return [w for w in words if trace(graph, w) == 0]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scan_edge_cases_match_wedge(corpus, data):
+    # each list extends a subgroup H by words whose scan reads far along
+    # earlier generators: repeats, inverses, rotations, conjugates,
+    # products, single syllables, the empty word, and a prefix of one
+    # generator joined to a suffix of another directly or across one
+    # syllable.  All of them lie in H, found on H's full coset graph, so
+    # H and its graph stay as they are, except for one optional word that
+    # enlarges H.
+    if data.draw(st.booleans()):
+        ps = z2z3_point_stabilizer(data.draw(st.sampled_from((12, 24, 60))))
+        sys, base, full = ps.system, ps.gens, complete_graph(ps.system, build_core(ps.system, ps.gens), ps.index)
+    else:
+        inst = data.draw(st.sampled_from([inst for inst in corpus if inst.gens and inst.graph.vertex_count > 1]))
+        sys, base, full = inst.system, inst.gens, inst.graph
+    groups = sys.factors_g
+    syllables = [(lam, g) for lam, group in enumerate(groups) for g in range(1, group.order)]
+
+    def gen():
+        return data.draw(st.sampled_from(base))
+
+    def joined(*parts):
+        return normalize(sys, "G", [syl for part in parts for syl in part])
+
+    def pick(words):
+        return data.draw(st.sampled_from(words)) if words else EMPTY
+
+    product = multiply(sys, "G", gen(), gen())
+    conj = gen()
+    head, tail = gen(), gen()
+    cuts = [(k, m) for k in range(len(head) + 1) for m in range(len(tail) + 1)]
+    meets = [joined(head[:k], tail[len(tail) - m :]) for k, m in cuts]
+    gaps = [joined(head[:k], [syl], tail[len(tail) - m :]) for k, m in cuts for syl in syllables]
+    extra = [
+        gen(),
+        invert(sys, "G", gen()),
+        product,
+        pick(_loops_at_base(full, [joined(w[c:], w[:c]) for w in (gen(), product) for c in range(1, len(w))])),
+        joined(conj, gen(), invert(sys, "G", conj)),
+        EMPTY,
+        pick(_loops_at_base(full, meets)),
+        pick(_loops_at_base(full, gaps)),
+    ]
+    for involution in (True, False):
+        singles = [(syl,) for syl in syllables if (groups[syl[0]].inv[syl[1]] == syl[1]) == involution]
+        extra.append(pick(_loops_at_base(full, singles)))
+    if data.draw(st.booleans()):
+        extra.append(pick(meets + gaps + [(syl,) for syl in syllables]))
+    gens = list(base) + data.draw(st.permutations(extra))
+    scanned = _core_and_completion(sys, gens, 60)
+    wedged = _wedge_core_and_completion(sys, gens, 60)
+    assert _encodings(scanned) == _encodings(wedged)
+    for word in gens:
+        assert membership(sys, scanned[0], word) and membership(sys, wedged[0], word)
+
+
+def test_scan_creates_few_vertices_and_no_op_edges(monkeypatch):
+    # the scan creates vertices only for the part of each generator no
+    # earlier one defines, so folding has almost nothing left to re-add:
+    # count new vertices, and the add_edge calls of _process_pending that
+    # change nothing against all add_edge calls
+    counts = {"vertices": 0, "edges": 0, "no_op": 0}
+    new_vertex, add_edge, process = (
+        covgraph._Builder.new_vertex,
+        covgraph._Builder.add_edge,
+        covgraph._Builder._process_pending,
+    )
+
+    def counted_vertex(self):
+        counts["vertices"] += 1
+        return new_vertex(self)
+
+    def processing(self):
+        self.processing = True
+        process(self)
+        self.processing = False
+
+    def logged(self, u, lam, g, v):
+        changed = add_edge(self, u, lam, g, v)
+        counts["edges"] += 1
+        counts["no_op"] += getattr(self, "processing", False) and not changed
+        return changed
+
+    monkeypatch.setattr(covgraph._Builder, "new_vertex", counted_vertex)
+    monkeypatch.setattr(covgraph._Builder, "_process_pending", processing)
+    monkeypatch.setattr(covgraph._Builder, "add_edge", logged)
+    for n in (1200, 4800):
+        ps = z2z3_point_stabilizer(n)
+        counts.update(vertices=0, edges=0, no_op=0)
+        assert build_core(ps.system, ps.gens).vertex_count == n
+        assert counts["vertices"] < 1.1 * n
+        assert counts["no_op"] < 0.01 * counts["edges"]
