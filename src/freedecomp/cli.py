@@ -1,13 +1,15 @@
 """Command-line interface: JSON in, certificates/reports/DOT out.
 
 Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
-exceeded, 3 invalid input (including command-line usage errors), 4 internal
-error (an uncaught exception, reported as ``internal error: <type>: <msg>``).
+exceeded, 3 invalid input (including command-line usage errors and output
+paths that cannot be written), 4 internal error (an uncaught exception,
+reported as ``internal error: <type>: <msg>``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from pathlib import Path
@@ -129,8 +131,11 @@ def _dump(obj) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         _sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def certificate_to_json(cert: ConjectureCertificate) -> dict:
@@ -290,7 +295,11 @@ def _add_max_cosets_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cosets", type=int, default=None, help="coset bound for completions (default 10000)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` only reads it, so each ``main`` call in a
+    process skips rebuilding seven parsers."""
     parser = argparse.ArgumentParser(prog="freedecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

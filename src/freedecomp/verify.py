@@ -1,13 +1,16 @@
 """Independent verification of decomposition certificates.
 
-Every check C1-C7 is a decision procedure.  C7 decides that the pieces and
-the free basis form a free-product basis of H: given C3 (each piece is
-exactly H cap G_lam^x) and C5 (the pieces and the basis generate H), the
-formal free product Pi of the pieces and a free group on the basis maps
-onto H, and it is isomorphic to H exactly when its Kurosh fingerprint
-(multiset of factor/conjugacy-class pairs plus free rank) equals H's, by
-the uniqueness part of Kurosh's theorem.  Pi is finitely generated and
-virtually free, hence residually finite and so Hopfian (Mal'cev), so an
+Every check C1-C7 is a decision procedure.  C2 reads the words that
+generate H_lam in the claimed decomposition, the vertex groups and the free
+basis of factor lam, and decides that their images lie in B_lam and generate
+it, so a free-basis word cannot move to another factor unnoticed.  C7
+decides that the pieces and the free basis form a free-product basis of H:
+given C3 (each piece is exactly H cap G_lam^x) and C5 (the pieces and the
+basis generate H), the formal free product Pi of the pieces and a free group
+on the basis maps onto H, and it is isomorphic to H exactly when its Kurosh
+fingerprint (multiset of factor/conjugacy-class pairs plus free rank) equals
+H's, by the uniqueness part of Kurosh's theorem.  Pi is finitely generated
+and virtually free, hence residually finite and so Hopfian (Mal'cev), so an
 onto map Pi -> H between isomorphic groups is an isomorphism.
 
 The double-coset oracle deliberately avoids the spanning tree and Schreier
@@ -174,7 +177,7 @@ def check_certificate(
         for fc in cert.factors:
             group_b = sys.factors_b[fc.lam]
             elems = set()
-            for w in fc.h_lambda_gens:
+            for w in [x for vg in fc.vertex_groups for x in vg] + list(fc.f_basis):
                 img = theta_word(sys, w)
                 if any(l != fc.lam for l, _ in img):
                     bad.append(f"factor {fc.lam}: generator image leaves B_{fc.lam}")

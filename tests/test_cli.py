@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -382,6 +383,81 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
     assert "usage:" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("kurosh", "-o"),
+        ("decompose", "-o"),
+        ("decompose", "--report"),
+        ("decompose", "--dot"),
+        ("verify", "-o"),
+        ("graph", "--dot"),
+    ],
+)
+def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag):
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    argv = [command, sys_file]
+    if command == "decompose" and flag != "-o":
+        argv += ["-o", str(tmp_path / "c2.json")]
+    if command == "verify":
+        argv.append(cert_file)
+    capsys.readouterr()
+    for bad in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+        assert main(argv + [flag, bad]) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
+
+
+def _parser_sequence(tmp_path) -> list[list[str]]:
+    """Seven main calls: two passes, a usage error, --help, a flag the
+    subcommand does not read, a bound error and a malformed file."""
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    return [
+        ["decompose", sys_file, "-o", cert_file, "--report", str(tmp_path / "report.json")],
+        ["verify", sys_file, cert_file],
+        ["kurosh"],
+        ["verify", "--help"],
+        ["member", sys_file, "0:1", "--max-cosets", "0"],
+        ["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"],
+        ["kurosh", write(tmp_path, "bad.json", {"factors_G": []})],
+    ]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    sequence = _parser_sequence(tmp_path)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [main(argv) for argv in sequence] == [0, 0, 3, 0, 3, 2, 3]
+    # one top-level parser and one per subcommand, all from the first call
+    assert len(built) == 7
+
+
+def test_shared_parser_answers_do_not_depend_on_call_order(tmp_path, capsys):
+    sequence = _parser_sequence(tmp_path)
+    capsys.readouterr()
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"\(\d+\.\d ms\)", "", out), err
+
+    forward = [run(argv) for argv in sequence]
+    backward = [run(argv) for argv in reversed(sequence)][::-1]
+    assert forward == backward
+    assert "usage: freedecomp verify" in forward[3][1]
+    assert "usage: freedecomp kurosh" in forward[2][2]
 
 
 def test_uncaught_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):

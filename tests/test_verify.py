@@ -16,10 +16,10 @@ from freedecomp import (
     verify_certificate,
 )
 from freedecomp.conjecture import Bounds, check_h_theta_surjective
-from freedecomp.freeprod import EMPTY, parse_word
+from freedecomp.freeprod import EMPTY, parse_word, theta_word
 from freedecomp.verify import MalformedCertificate
 
-from conftest import TRIV, Z2, enumerate_ball
+from conftest import TRIV, Z2, enumerate_ball, z2z3_point_stabilizer
 from naive_enum import brute_force_members, brute_force_membership
 
 
@@ -170,6 +170,30 @@ def test_c7_only_tamper_matrix():
         report = verify_certificate(sys, gens, bad)
         assert [c.status for c in report.checks] == ["pass"] * 6 + ["fail"], label
         assert report.checks[6].details == "2 free-basis words for free rank 1", label
+
+
+@pytest.mark.parametrize("n, seed", [(12, 3), (18, 1), (24, 1), (30, 2)])
+def test_cross_factor_basis_move_fails_c2(n, seed):
+    # Moving factor 0's free-basis words with nontrivial image into factor 1
+    # keeps the pooled words, so C1 and C3-C7 still pass; only C2, which ties
+    # each factor's words to its own B_lam, sees that H_1 no longer maps
+    # onto the trivial B_1.
+    ps = z2z3_point_stabilizer(n, seed)
+    cert = conjecture_decompose(ps.system, ps.gens)
+    fc0, fc1 = cert.factors
+    moved = tuple(f for f in fc0.f_basis if theta_word(ps.system, f) != EMPTY)
+    assert moved
+    forged = dataclasses.replace(
+        cert,
+        factors=(
+            dataclasses.replace(fc0, f_basis=tuple(f for f in fc0.f_basis if f not in moved)),
+            dataclasses.replace(fc1, f_basis=fc1.f_basis + moved),
+        ),
+    )
+    assert verify_certificate(ps.system, ps.gens, cert).verdict
+    report = verify_certificate(ps.system, ps.gens, forged)
+    assert [c.status for c in report.checks] == ["pass", "fail"] + ["pass"] * 5
+    assert "factor 1: generator image leaves B_1" in report.checks[1].details
 
 
 def _tampered(sys, cert):
