@@ -1,9 +1,10 @@
 """Independent verification of decomposition certificates.
 
-Every check C1-C7 is a decision procedure.  C2 reads the words that
-generate H_lam in the claimed decomposition, the vertex groups and the free
-basis of factor lam, and decides that their images lie in B_lam and generate
-it, so a free-basis word cannot move to another factor unnoticed.  C7
+Every check C1-C7 is a decision procedure.  C2 decides, for each factor lam,
+that the images of two word lists lie in B_lam and generate it: the words
+that generate H_lam in the claimed decomposition (the vertex groups and the
+free basis of factor lam), so a free-basis word cannot move to another
+factor unnoticed, and the listed h_lambda_gens, so those cannot either.  C7
 decides that the pieces and the free basis form a free-product basis of H:
 given C3 (each piece is exactly H cap G_lam^x) and C5 (the pieces and the
 basis generate H), the formal free product Pi of the pieces and a free group
@@ -120,6 +121,12 @@ def _structural_validation(sys: FactorSystem, cert: "ConjectureCertificate") -> 
                 raise MalformedCertificate(f"factor {fc.lam}: correction {g!r} outside its factor")
 
 
+def _claimed_gens(fc) -> list:
+    """The words that generate H_lam in the claimed decomposition: the
+    vertex-group words of factor lam followed by its free basis."""
+    return [x for vg in fc.vertex_groups for x in vg] + list(fc.f_basis)
+
+
 def verify_certificate(
     sys: FactorSystem,
     h_gens,
@@ -176,18 +183,19 @@ def check_certificate(
         bad = []
         for fc in cert.factors:
             group_b = sys.factors_b[fc.lam]
-            elems = set()
-            for w in [x for vg in fc.vertex_groups for x in vg] + list(fc.f_basis):
-                img = theta_word(sys, w)
-                if any(l != fc.lam for l, _ in img):
-                    bad.append(f"factor {fc.lam}: generator image leaves B_{fc.lam}")
-                    continue
-                e = 0
-                for _, x in img:
-                    e = group_b.mul[e][x]
-                elems.add(e)
-            if subgroup_closure(group_b, elems) != frozenset(range(group_b.order)):
-                bad.append(f"factor {fc.lam}: images do not generate the target factor")
+            for label, words in (("generator", _claimed_gens(fc)), ("h_lambda_gens", fc.h_lambda_gens)):
+                elems = set()
+                for w in words:
+                    img = theta_word(sys, w)
+                    if any(l != fc.lam for l, _ in img):
+                        bad.append(f"factor {fc.lam}: {label} image leaves B_{fc.lam}")
+                        continue
+                    e = 0
+                    for _, x in img:
+                        e = group_b.mul[e][x]
+                    elems.add(e)
+                if subgroup_closure(group_b, elems) != frozenset(range(group_b.order)):
+                    bad.append(f"factor {fc.lam}: {label} images do not generate the target factor")
         return (not bad, "; ".join(bad[:3]))
 
     def c3():
@@ -231,15 +239,11 @@ def check_certificate(
         return (not bad, "; ".join(bad[:3]))
 
     def c5():
-        words = []
-        for fc in cert.factors:
-            for vg in fc.vertex_groups:
-                words.extend(vg)
-            words.extend(fc.f_basis)
+        words = [w for fc in cert.factors for w in _claimed_gens(fc)]
         stray = [
             w
             for fc in cert.factors
-            for w in list(fc.h_lambda_gens) + [x for vg in fc.vertex_groups for x in vg] + list(fc.f_basis)
+            for w in list(fc.h_lambda_gens) + _claimed_gens(fc)
             if not membership(sys, graph, w)
         ]
         if stray:

@@ -140,6 +140,9 @@ def _tamper_cases(sys, cert):
     ), fc1
     yield "spurious free basis", dataclasses.replace(fc0, f_basis=(w(sys, "1:1"),)), fc1
     yield "generators weakened", dataclasses.replace(fc0, h_lambda_gens=(w(sys, "0:1"),)), fc1
+    yield "generators swapped across factors", dataclasses.replace(
+        fc0, h_lambda_gens=fc1.h_lambda_gens
+    ), dataclasses.replace(fc1, h_lambda_gens=fc0.h_lambda_gens)
     yield "duplicate representative", dataclasses.replace(
         fc0,
         reps=(fc0.reps[0], fc0.reps[0]),
