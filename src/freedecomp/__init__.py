@@ -61,7 +61,6 @@ from .kurosh import (
     SpanningData,
     kurosh_decompose,
     kurosh_invariants,
-    merge_invariants,
     spanning_data,
 )
 from .verify import (

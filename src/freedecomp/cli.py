@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
 exceeded, 3 invalid input (including command-line usage errors and output
-paths that cannot be written), 4 internal error (an uncaught exception,
+paths that cannot be written; ``decompose`` then removes the outputs it
+already wrote), 4 internal error (an uncaught exception,
 reported as ``internal error: <type>: <msg>``).
 """
 
@@ -138,6 +139,22 @@ def _write(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_all(outputs) -> None:
+    """Write rendered ``(path, text)`` outputs in order; when one cannot be
+    written, remove the files already written before raising, so a failed
+    command leaves no partial set of outputs behind."""
+    written = []
+    try:
+        for path, text in outputs:
+            _write(path, text)
+            if path not in (None, "-"):
+                written.append(Path(path))
+    except InputError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def certificate_to_json(cert: ConjectureCertificate) -> dict:
     return {
         "system_hash": cert.system_hash,
@@ -145,13 +162,11 @@ def certificate_to_json(cert: ConjectureCertificate) -> dict:
         "factors": [
             {
                 "lam": fc.lam,
-                "beta_list": [format_word(w) for w in fc.beta_list],
                 "beta_primes": [format_word(w) for w in fc.beta_primes],
                 "g_corrections": [format_word(w) for w in fc.g_corrections],
                 "reps": [format_word(w) for w in fc.reps],
                 "vertex_groups": [[format_word(w) for w in vg] for vg in fc.vertex_groups],
                 "f_basis": [format_word(w) for w in fc.f_basis],
-                "h_lambda_gens": [format_word(w) for w in fc.h_lambda_gens],
             }
             for fc in cert.factors
         ],
@@ -172,13 +187,11 @@ def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertifi
         factors = tuple(
             FactorCertificate(
                 lam=fc["lam"],
-                beta_list=words(fc["beta_list"]),
                 beta_primes=words(fc["beta_primes"]),
                 g_corrections=words(fc["g_corrections"]),
                 reps=words(fc["reps"]),
                 vertex_groups=tuple(words(vg) for vg in fc["vertex_groups"]),
                 f_basis=words(fc["f_basis"]),
-                h_lambda_gens=words(fc["h_lambda_gens"]),
             )
             for fc in data["factors"]
         )
@@ -227,11 +240,12 @@ def cmd_decompose(args) -> int:
     system, gens, bounds = load_system(_read_json(args.system))
     bounds = _merge_bounds(bounds, args)
     cert, report, graph = decompose_and_check(system, gens, bounds)
-    _write(args.output, _dump(certificate_to_json(cert)))
+    outputs = [(args.output, _dump(certificate_to_json(cert)))]
     if args.dot:
-        _write(args.dot, to_dot(graph))
+        outputs.append((args.dot, to_dot(graph)))
     if args.report:
-        _write(args.report, _dump(report_to_json(report)))
+        outputs.append((args.report, _dump(report_to_json(report))))
+    _write_all(outputs)
     print(report.summary())
     return EXIT_OK
 

@@ -61,13 +61,11 @@ class FactorCertificate:
     """Everything the pipeline produced for one factor index."""
 
     lam: int
-    beta_list: tuple[Word, ...]
     beta_primes: tuple[Word, ...]
     g_corrections: tuple[Word, ...]
     reps: tuple[Word, ...]
     vertex_groups: tuple[tuple[Word, ...], ...]
     f_basis: tuple[Word, ...]
-    h_lambda_gens: tuple[Word, ...]
 
 
 @dataclass(frozen=True)
@@ -196,13 +194,11 @@ def _assemble(
         factor_certs.append(
             FactorCertificate(
                 lam=lam,
-                beta_list=fd.betas,
                 beta_primes=tuple(beta_primes),
                 g_corrections=tuple(g_corrections),
                 reps=tuple(reps),
                 vertex_groups=tuple(vertex_groups),
                 f_basis=kd.free_basis,
-                h_lambda_gens=fd.gens,
             )
         )
 
@@ -217,7 +213,7 @@ def _assemble(
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )
-    report = check_certificate(sys, graph, cert, bounds.max_cosets)
+    report = check_certificate(sys, graph, cert)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")
         raise CertificateRejected(f"failed {failed}")

@@ -28,7 +28,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, GraphNotComplete, graph_edges, lambda_components
+from .covgraph import CoreGraph, GraphNotComplete, graph_edges
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, theta_word
 
 _STATE_BUDGET = 500_000
@@ -49,12 +49,10 @@ class ThetaTree:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    """Schreier generators of H_lam and, per lam-component in the order of
-    ``lambda_components``, the inverse transversal word of its root."""
+    """Schreier generators of H_lam."""
 
     lam: int
     gens: tuple[Word, ...]
-    betas: tuple[Word, ...]
 
 
 @dataclass(frozen=True)
@@ -172,8 +170,7 @@ def build_theta_tree(
 
 
 def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> HigginsDecomposition:
-    """Schreier generators of every factor, grouped by factor, plus the
-    component representatives (inverse transversals of component roots)."""
+    """Schreier generators of every factor, grouped by factor."""
     p = tree.transversal
     per_factor = []
     edges = graph_edges(sys, graph)
@@ -189,17 +186,9 @@ def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> H
                 gens.append(w)
         gens.sort(key=lambda w: (len(w), w))
 
-        betas = []
-        for comp in lambda_components(sys, graph, lam):
-            beta = invert(sys, "G", p[comp.root])
-            assert theta_word(sys, beta) == EMPTY
-            betas.append(beta)
-
         for w in gens:
             img = theta_word(sys, w)
             assert all(l2 == lam for l2, _ in img)
 
-        per_factor.append(
-            FactorDecomposition(lam=lam, gens=tuple(gens), betas=tuple(betas))
-        )
+        per_factor.append(FactorDecomposition(lam=lam, gens=tuple(gens)))
     return HigginsDecomposition(factors=tuple(per_factor))

@@ -4,6 +4,8 @@ From a folded saturated graph this extracts, per factor component, a
 vertex-group piece (the component stabilizer conjugated back to the base
 vertex by the spanning-tree transversal) and a free basis of Schreier
 elements, one per component-tree edge missing from the global tree.
+Its fingerprint, the invariant part of that answer, is read off the
+components alone.
 """
 
 from __future__ import annotations
@@ -146,18 +148,25 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
     )
 
 
-def kurosh_invariants(sys: FactorSystem, decomp: KuroshDecomposition) -> KuroshInvariants:
-    classes = sorted(
-        (piece.lam, subgroup_conjugacy_key(sys.factors_g[piece.lam], piece.stabilizer))
-        for piece in decomp.pieces
-    )
-    return KuroshInvariants(piece_classes=tuple(classes), free_rank=decomp.free_rank)
+def kurosh_invariants(sys: FactorSystem, graph: CoreGraph) -> KuroshInvariants:
+    """The fingerprint of the subgroup read off its graph's lam-components.
 
-
-def merge_invariants(parts) -> KuroshInvariants:
-    classes: list = []
-    rank = 0
-    for inv in parts:
-        classes.extend(inv.piece_classes)
-        rank += inv.free_rank
+    Each component with a nontrivial stabilizer is one piece, classed by
+    the stabilizer's conjugacy class in G_lam.  The free rank is the cycle
+    rank of the graph with the vertices and the components as nodes and
+    one edge per (vertex, component containing it): (k - 1)|V| - C + 1 for
+    k factors and C components, which is the basis length of
+    ``kurosh_decompose``.  No transversal or Schreier word is built.
+    """
+    classes = []
+    count = 0
+    for lam in range(sys.num_factors):
+        comps = lambda_components(sys, graph, lam)
+        count += len(comps)
+        classes.extend(
+            (lam, subgroup_conjugacy_key(sys.factors_g[lam], comp.stabilizer))
+            for comp in comps
+            if len(comp.stabilizer) > 1
+        )
+    rank = (sys.num_factors - 1) * graph.vertex_count - count + 1
     return KuroshInvariants(piece_classes=tuple(sorted(classes)), free_rank=rank)

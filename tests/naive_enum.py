@@ -5,9 +5,12 @@ presentation whose generators are the nonidentity factor elements and whose
 relators are the factor multiplication triples.  It shares no code with the
 package's fold/saturate builder, so agreement between the two is meaningful
 evidence.  ``brute_force_members`` enumerates products of generators,
-``rank_formula`` counts the free rank from component sizes, and
-``LinearScanBuilder`` is the graph builder with its original job choice,
-a linear scan for the smallest dirty job.  ``WedgeBuilder`` is the builder
+``rank_formula`` counts the free rank from component sizes,
+``decomposition_fingerprint`` counts the Kurosh fingerprint from the
+pieces and the Schreier free basis of ``kurosh_decompose`` (the verifier
+reads it off the components instead), and ``LinearScanBuilder`` is the
+graph builder with its original job choice, a linear scan for the
+smallest dirty job.  ``WedgeBuilder`` is the builder
 with its original seeding, one new vertex per syllable of every generator
 (a wedge of cycles at the base), which the two-ended scan of
 ``_Builder.add_generator_cycle`` must fold to the same graph.
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 from freedecomp import covgraph
 from freedecomp.covgraph import CoreGraph, lambda_components
+from freedecomp.fingroup import subgroup_conjugacy_key
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
+from freedecomp.kurosh import KuroshInvariants, kurosh_decompose
 
 
 class EnumerationOverflow(Exception):
@@ -246,6 +251,16 @@ def rank_formula(sys: FactorSystem, graph: CoreGraph) -> int:
         for comp in lambda_components(sys, graph, lam):
             total += len(comp.vertices) - 1
     return total - (graph.vertex_count - 1)
+
+
+def decomposition_fingerprint(sys: FactorSystem, graph: CoreGraph) -> KuroshInvariants:
+    """One (factor, stabilizer class) pair per piece of ``kurosh_decompose``
+    and the length of its free basis."""
+    decomp = kurosh_decompose(sys, graph)
+    classes = sorted(
+        (piece.lam, subgroup_conjugacy_key(sys.factors_g[piece.lam], piece.stabilizer)) for piece in decomp.pieces
+    )
+    return KuroshInvariants(piece_classes=tuple(classes), free_rank=len(decomp.free_basis))
 
 
 class LinearScanBuilder(covgraph._Builder):

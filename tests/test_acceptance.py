@@ -59,7 +59,7 @@ def test_criterion_1_sys_a_end_to_end(tmp_path, capsys):
         and fc0["vertex_groups"] == [["0:1"], ["1:1 0:1 1:1"]]
         and fc0["f_basis"] == []
         and fc1["reps"] == []
-        and fc1["h_lambda_gens"] == []
+        and fc1["vertex_groups"] == []
         and fc1["f_basis"] == []
         and elapsed < 1.0
     )
@@ -148,7 +148,7 @@ def test_criterion_4_certificate_soundness(corpus, capsys):
         if failed:
             failures.append((idx, f"checks failed: {failed}"))
             continue
-        c7 = report.checks[6]
+        c7 = report.checks[-1]
         if not (c7.name.startswith("C7 ") and c7.status == "pass" and c7.details.startswith("exact:")):
             failures.append((idx, f"C7 not an exact pass: {c7.status} {c7.details}"))
     elapsed = time.perf_counter() - t0

@@ -56,7 +56,7 @@ def test_decompose_roundtrip(tmp_path, capsys):
 
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
-    assert len(report["checks"]) == 7
+    assert len(report["checks"]) == 6
 
     # re-verify from the written files: verdict must be reproduced
     code = main(["verify", sys_file, cert_file])
@@ -411,6 +411,22 @@ def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag
         assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
 
 
+@pytest.mark.parametrize("bad_flag", ["--dot", "--report"])
+def test_failed_decompose_write_leaves_no_outputs(tmp_path, capsys, bad_flag):
+    # every output is rendered before the first write, and the files
+    # written before a failing one are removed again
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert, dot, report = (tmp_path / name for name in ("c.json", "g.dot", "r.json"))
+    bad = str(tmp_path / "missing" / "out.txt")
+    paths = {"--dot": str(dot), "--report": str(report), bad_flag: bad}
+    argv = ["decompose", sys_file, "-o", str(cert), "--dot", paths["--dot"], "--report", paths["--report"]]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
+    assert main(["decompose", sys_file, "-o", str(cert), "--dot", str(dot), "--report", str(report)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "g.dot", "r.json", "sys.json"]
+
+
 def _parser_sequence(tmp_path) -> list[list[str]]:
     """Seven main calls: two passes, a usage error, --help, a flag the
     subcommand does not read, a bound error and a malformed file."""
@@ -475,10 +491,10 @@ def test_uncaught_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
     [
         (("factors", 0, "reps"), [[]]),
         (("factors", 0, "f_basis"), [["0:1"]]),
-        (("factors", 0, "beta_list"), [None]),
+        (("factors", 0, "beta_primes"), [None]),
         (("factors", 0, "vertex_groups"), ["0:1"]),
         (("factors", 0, "vertex_groups"), [[7]]),
-        (("factors", 1, "h_lambda_gens"), [{}]),
+        (("factors", 1, "g_corrections"), [{}]),
         (("h_generators",), [1]),
         (("tree_transversal",), "0:1"),
     ],

@@ -34,7 +34,7 @@ def test_sys_a_certificate(sys_a, sys_a_gens):
     assert fc0.f_basis == ()
     assert fc0.g_corrections == (EMPTY, EMPTY)
     assert fc0.beta_primes == (EMPTY, w(sys_a, "1:1"))
-    assert fc1.reps == () and fc1.h_lambda_gens == () and fc1.f_basis == ()
+    assert fc1.reps == () and fc1.vertex_groups == () and fc1.f_basis == ()
     assert theta_word(sys_a, w(sys_a, "1:1")) == EMPTY
 
 
@@ -81,8 +81,8 @@ def test_reps_are_image_trivial_and_consistent(corpus):
                 assert theta_word(inst.system, x) == EMPTY
                 assert multiply(inst.system, "G", invert(inst.system, "G", g), bp) == x
                 assert all(l == fc.lam for l, _ in g)
-            for beta in fc.beta_list:
-                assert theta_word(inst.system, beta) == EMPTY
+        for t in cert.tree_transversal:
+            assert theta_word(inst.system, t) == EMPTY
 
 
 def test_h_generators_generate(sys_phase2, sys_phase2_gens):
@@ -119,7 +119,7 @@ def test_trivial_subgroup_single_factor():
     cert = conjecture_decompose(sys, [])
     fc = cert.factors[0]
     assert fc.reps == () and fc.vertex_groups == () and fc.f_basis == ()
-    assert len(fc.beta_list) == 1  # one orbit covering all six cosets
+    assert len(cert.tree_transversal) == 6  # one image-trivial word per coset
     from freedecomp import verify_certificate
 
     assert verify_certificate(sys, [], cert).verdict

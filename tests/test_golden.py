@@ -15,7 +15,7 @@ import json
 from freedecomp.cli import main
 from freedecomp.freeprod import format_word
 
-GOLDEN_DIGEST = "19f1296ae9880a98acb69e4aebc2d1606f164fdd29d919870ec817d4f583e615"
+GOLDEN_DIGEST = "de833d7c565721f5e506d8757b28df4b59ae36e1b84e553d99a94013ab438463"
 
 
 def system_json(inst) -> dict:

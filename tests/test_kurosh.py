@@ -8,7 +8,6 @@ from freedecomp import (
     kurosh_decompose,
     kurosh_invariants,
     membership,
-    merge_invariants,
     multiply,
     spanning_data,
 )
@@ -16,7 +15,7 @@ from freedecomp.freeprod import EMPTY, parse_word
 from freedecomp.verify import brute_force_double_cosets
 
 from conftest import z2z3_point_stabilizer
-from naive_enum import rank_formula
+from naive_enum import decomposition_fingerprint, rank_formula
 
 
 def w(sys, text):
@@ -184,19 +183,26 @@ def test_base_component_has_trivial_rep(corpus):
 
 def test_invariants_examples(sys_a, sys_a_gens, sys_b, sys_b_gens):
     ga = complete_canon(sys_a, sys_a_gens)
-    inv_a = kurosh_invariants(sys_a, kurosh_decompose(sys_a, ga))
+    inv_a = kurosh_invariants(sys_a, ga)
     assert len(inv_a.piece_classes) == 2
     assert inv_a.piece_classes[0] == inv_a.piece_classes[1]
     assert inv_a.free_rank == 0
     gb = complete_canon(sys_b, sys_b_gens)
-    inv_b = kurosh_invariants(sys_b, kurosh_decompose(sys_b, gb))
+    inv_b = kurosh_invariants(sys_b, gb)
     assert len(inv_b.piece_classes) == 3
     assert len(set(inv_b.piece_classes)) == 1
 
 
-def test_merge_invariants(sys_b, sys_b_gens):
-    g = complete_canon(sys_b, sys_b_gens)
-    inv = kurosh_invariants(sys_b, kurosh_decompose(sys_b, g))
-    merged = merge_invariants([inv, inv])
-    assert merged.free_rank == 0
-    assert len(merged.piece_classes) == 6
+def test_graph_fingerprint_matches_decomposition_oracle(corpus):
+    # the fingerprint read off the components equals the one counted from
+    # the pieces and Schreier basis of kurosh_decompose, and on the scaling
+    # family also the structure its action fixes
+    for inst in corpus:
+        assert kurosh_invariants(inst.system, inst.graph) == decomposition_fingerprint(inst.system, inst.graph)
+    for n, seed in ((3, 1), (4, 2), (7, 1), (12, 3), (60, 1), (300, 2), (1200, 1)):
+        ps = z2z3_point_stabilizer(n, seed)
+        graph = complete_canon(ps.system, ps.gens, bound=n)
+        inv = kurosh_invariants(ps.system, graph)
+        assert inv == decomposition_fingerprint(ps.system, graph), (n, seed)
+        orders = sorted((lam, len(key)) for lam, key in inv.piece_classes)
+        assert tuple(orders) == ps.pieces and inv.free_rank == ps.free_rank, (n, seed)
