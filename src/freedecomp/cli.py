@@ -25,7 +25,7 @@ from .conjecture import (
     ThetaNotSurjectiveOntoB,
     decompose_and_check,
 )
-from .covgraph import IndexBoundExceeded, build_core, canonicalize, complete_graph, membership, to_dot
+from .covgraph import IndexBoundExceeded, build_core, complete_graph, membership, to_dot
 from .fingroup import GroupTableError, NotAHomomorphism, NotSurjective, cyclic, sym, validate_group
 from .freeprod import FactorSystem, format_word, make_system, parse_word
 from .higgins import TreeBoundExceeded
@@ -253,7 +253,7 @@ def cmd_decompose(args) -> int:
 def cmd_kurosh(args) -> int:
     system, gens, bounds = load_system(_read_json(args.system))
     bounds = _merge_bounds(bounds, args)
-    graph = canonicalize(complete_graph(system, build_core(system, gens), bounds.max_cosets))
+    graph = complete_graph(system, build_core(system, gens), bounds.max_cosets)
     decomp = kurosh_decompose(system, graph)
     _write(args.output, _dump(kurosh_to_json(decomp)))
     return EXIT_OK
@@ -276,7 +276,7 @@ def cmd_graph(args) -> int:
     graph = build_core(system, gens)
     if args.complete:
         graph = complete_graph(system, graph, bounds.max_cosets)
-    _write(args.dot, to_dot(canonicalize(graph)))
+    _write(args.dot, to_dot(graph))
     return EXIT_OK
 
 

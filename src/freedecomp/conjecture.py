@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, build_core, canonicalize, complete_graph
+from .covgraph import CoreGraph, build_core, complete_graph
 from .fingroup import solve_preimage
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word, theta_word
 from .higgins import ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
@@ -122,7 +122,7 @@ def decompose_and_check(
     if bounds.tree_retries < 1:
         raise ValueError(f"tree_retries must be at least 1, got {bounds.tree_retries}")
     gens = canonical_generators(h_gens)
-    graph = canonicalize(complete_graph(sys, build_core(sys, gens), bounds.max_cosets))
+    graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
     check_h_theta_surjective(sys, gens, bounds.max_cosets)
 
     reasons: list[str] = []
@@ -152,8 +152,7 @@ def _assemble(
     for lam in range(sys.num_factors):
         fd = hd.factors[lam]
         if fd.gens:
-            core_l = canonicalize(build_core(sys, fd.gens))
-            kd = kurosh_decompose(sys, core_l)
+            kd = kurosh_decompose(sys, build_core(sys, fd.gens))
         else:
             kd = KuroshDecomposition(pieces=(), free_basis=(), free_rank=0)
 

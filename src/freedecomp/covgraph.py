@@ -23,7 +23,14 @@ through a union-find) with per-component saturation until nothing
 changes.  Merging strictly decreases the vertex count and saturation only
 adds edges between present vertices, so the loop terminates.  Completion
 then grows the graph Todd-Coxeter style until the action is total, which
-at finite index yields the full coset graph.
+at finite index yields the full coset graph; a core that is already
+complete is returned as it is.
+
+Every graph leaves the builder once, read out by one breadth-first walk
+from the base in canonical vertex order, so ``build_core`` and
+``complete_graph`` return graphs equal to their own ``canonicalize``.
+``canonicalize`` remains for graphs built by hand and for
+``canonical_encoding``.
 """
 
 from __future__ import annotations
@@ -194,39 +201,41 @@ class _Builder:
     def _saturate(self, lam: int, root: int) -> None:
         group = self.groups[lam]
         mul, inv = group.mul, group.inv
-        # collect the component and BFS coset labels
+        adj, find = self.adj, self.find
+        # one BFS over the lam-edges labels the component with cosets and
+        # reads a stabilizer generator off every edge that closes a cycle
         label = {root: 0}
         comp = [root]
+        sgens = set()
         qi = 0
         while qi < len(comp):
             u = comp[qi]
             qi += 1
+            adj_u, row = adj[u], mul[label[u]]
             for g in range(1, group.order):
-                w = self.adj[u].get((lam, g))
+                w = adj_u.get((lam, g))
                 if w is None:
                     continue
-                w = self.find(w)
-                self.adj[u][(lam, g)] = w
-                if w not in label:
-                    label[w] = mul[label[u]][g]
+                w = find(w)
+                adj_u[(lam, g)] = w
+                lw = label.get(w)
+                if lw is None:
+                    label[w] = row[g]
                     comp.append(w)
-        # harvest stabilizer generators from every lam-edge
-        sgens = set()
-        for u in comp:
-            for (l2, g), w in self.adj[u].items():
-                if l2 != lam:
-                    continue
-                w = self.find(w)
-                s = mul[mul[label[u]][g]][inv[label[w]]]
-                if s:
-                    sgens.add(s)
-        stab = subgroup_closure(group, sgens)
-        # coset[x] = min(S x); scanning x upwards, the first x of a coset is its min
-        coset = [-1] * group.order
-        for x in range(group.order):
-            if coset[x] < 0:
-                for s in stab:
-                    coset[mul[s][x]] = x
+                else:
+                    s = mul[row[g]][inv[lw]]
+                    if s:
+                        sgens.add(s)
+        if sgens:
+            stab = subgroup_closure(group, sgens)
+            # coset[x] = min(S x); scanning x upwards, the first x of a coset is its min
+            coset = [-1] * group.order
+            for x in range(group.order):
+                if coset[x] < 0:
+                    for s in stab:
+                        coset[mul[s][x]] = x
+        else:
+            coset = range(group.order)  # trivial stabilizer: each element is its own coset
         # merge vertices whose cosets coincide
         buckets: dict = {}
         for u in comp:
@@ -246,7 +255,7 @@ class _Builder:
         # distinct, so each filled slot gets its one induced edge
         at = {key: vs[0] for key, vs in buckets.items()}
         for u in comp:
-            adj_u, row = self.adj[u], mul[label[u]]
+            adj_u, row = adj[u], mul[label[u]]
             for g in range(1, group.order):
                 if (lam, g) not in adj_u:
                     v = at.get(coset[row[g]])
@@ -314,19 +323,33 @@ class _Builder:
         self.add_edge(f, lam, g, b)
 
     def to_graph(self, gens: tuple[Word, ...]) -> CoreGraph:
+        """Stabilize and read the graph out in canonical form.
+
+        One breadth-first walk from the base, taking each vertex's edges in
+        (lam, g) order, numbers the vertices in discovery order, exactly as
+        ``canonicalize`` does, so the result equals its own canonical form.
+        """
         self.stabilize()
-        alive = sorted(v for v in range(len(self.parent)) if self.find(v) == v)
-        relabel = {v: i for i, v in enumerate(alive)}
+        adj, find = self.adj, self.find
+        order = [find(0)]
+        number = {order[0]: 0}
         action = []
-        for v in alive:
+        for v in order:  # grows while the walk discovers vertices
             entries = {}
-            for (lam, g), w in sorted(self.adj[v].items()):
-                entries[(lam, g)] = relabel[self.find(w)]
+            for key, w in sorted(adj[v].items()):
+                w = find(w)
+                i = number.get(w)
+                if i is None:
+                    i = number[w] = len(order)
+                    order.append(w)
+                entries[key] = i
             action.append(entries)
+        if len(order) != self.live:
+            raise AssertionError("graph has unreachable vertices")
         total = sum(g.order - 1 for g in self.groups)
         complete = all(len(a) == total for a in action)
         return CoreGraph(
-            vertex_count=len(alive),
+            vertex_count=len(order),
             action=tuple(action),
             subgroup_gens=gens,
             complete=complete,
@@ -348,8 +371,13 @@ def complete_graph(sys: FactorSystem, core: CoreGraph, max_cosets: int) -> CoreG
     Enumeration may transiently hold a few more vertices than the final
     index before coincidences fold them away, so the hard cap during the
     search is looser than ``max_cosets``; the bound itself is enforced on
-    the finished graph.
+    the finished graph.  A core that is already complete is returned as it
+    is.
     """
+    if core.complete:
+        if core.vertex_count > max_cosets:
+            raise IndexBoundExceeded(max_cosets)
+        return core
     # a CoreGraph is folded and saturated, so its copy has no saturation job
     builder = _Builder(sys)
     builder.parent = list(range(core.vertex_count))

@@ -8,7 +8,7 @@ equality is plain tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fingroup import FiniteGroup, GroupHom
 
@@ -26,6 +26,12 @@ class FactorSystem:
     factors_g: tuple[FiniteGroup, ...]
     factors_b: tuple[FiniteGroup, ...]
     theta: tuple[GroupHom, ...]
+    _token_memo: dict[str, dict[str, Syllable]] = field(
+        default_factory=lambda: {"G": {}, "B": {}}, init=False, repr=False, compare=False
+    )
+    """Per side, the word tokens ``parse_word`` has checked, in their plain
+    spelling ``lam:e``, with their syllables: at most one entry per factor
+    element, filled as tokens are first seen."""
 
     def __post_init__(self) -> None:
         k = len(self.factors_g)
@@ -101,12 +107,16 @@ def normalize(sys: FactorSystem, side: str, syllables) -> Word:
     groups = sys.groups(side)
     out: list[Syllable] = []
     for lam, e in syllables:
-        if not 0 <= lam < len(groups):
-            raise ValueError(f"factor index {lam} out of range")
-        if not 0 <= e < groups[lam].order:
-            raise ValueError(f"element {e} out of range for factor {lam}")
+        _check_syllable(groups, lam, e)
         _push(groups, out, (lam, e))
     return tuple(out)
+
+
+def _check_syllable(groups: tuple[FiniteGroup, ...], lam: int, e: int) -> None:
+    if not 0 <= lam < len(groups):
+        raise ValueError(f"factor index {lam} out of range")
+    if not 0 <= e < groups[lam].order:
+        raise ValueError(f"element {e} out of range for factor {lam}")
 
 
 def multiply(sys: FactorSystem, side: str, u: Word, v: Word) -> Word:
@@ -154,21 +164,43 @@ def is_normal_form(sys: FactorSystem, side: str, w: Word) -> bool:
 
 
 def parse_word(sys: FactorSystem, side: str, text: str) -> Word:
-    """Parse the ``lam:elem`` token syntax; the empty string is the identity."""
-    text = text.strip()
-    if not text:
+    """Parse the ``lam:elem`` token syntax; the empty string is the identity.
+
+    A token checked before in its plain spelling on this side of this
+    system is read from the system's token memo; any other token is parsed
+    and checked, and remembered when it is plainly spelled.  A bad token
+    raises on every parse, and the first out-of-range syllable raises only
+    after every token has been parsed, as ``normalize`` would.
+    """
+    tokens = text.split()
+    if not tokens:
         return EMPTY
-    syllables = []
-    for token in text.split():
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad word token {token!r}, expected 'factor:element'")
-        try:
-            lam, e = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"bad word token {token!r}: {exc}") from exc
-        syllables.append((lam, e))
-    return normalize(sys, side, syllables)
+    groups = sys.groups(side)
+    memo = sys._token_memo[side]
+    out: list[Syllable] = []
+    bad = None
+    for token in tokens:
+        syl = memo.get(token)
+        if syl is None:
+            parts = token.split(":")
+            if len(parts) != 2:
+                raise ValueError(f"bad word token {token!r}, expected 'factor:element'")
+            try:
+                syl = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"bad word token {token!r}: {exc}") from exc
+            lam, e = syl
+            if not (0 <= lam < len(groups) and 0 <= e < groups[lam].order):
+                bad = bad or syl
+                continue
+            # "a:b" with one ASCII character each side is plain once int() took it
+            if len(token) == 3 and token.isascii() or token == "%d:%d" % syl:
+                memo[token] = syl
+        if bad is None:
+            _push(groups, out, syl)
+    if bad is not None:
+        _check_syllable(groups, *bad)
+    return tuple(out)
 
 
 def format_word(w: Word) -> str:

@@ -3,10 +3,13 @@
 A certificate claims H = *_lam H_lam with theta(H_lam) = B_lam and
 H_lam = *(H cap G_lam^x) * F_lam, where factor lam lists the pieces
 H cap G_lam^x (its vertex groups) and a free basis of F_lam.  Every check
-C1-C7 is a decision procedure.  C2 decides, for each factor lam, that the
-images of the words generating H_lam (its vertex-group words and its free
-basis) lie in B_lam and generate it, so a free-basis word cannot move to
-another factor unnoticed.  C3 decides that each piece is exactly
+C1-C7 is a decision procedure.  C1 decides that the representatives and
+the transversal words are image-trivial, and that there is one
+transversal word per coset, word i leading from the base to coset i of
+H's canonically numbered coset graph.  C2 decides, for each factor lam,
+that the images of the words generating H_lam (its vertex-group words and
+its free basis) lie in B_lam and generate it, so a free-basis word cannot
+move to another factor unnoticed.  C3 decides that each piece is exactly
 H cap G_lam^x.  C5 decides that the pieces and the free bases generate H:
 membership shows that they generate some K <= H, and completing K's graph
 with the coset bound set to H's index succeeds exactly when [G : K] is at
@@ -42,7 +45,6 @@ from .covgraph import (
     GraphNotComplete,
     IndexBoundExceeded,
     build_core,
-    canonicalize,
     complete_graph,
     membership,
     trace,
@@ -131,6 +133,9 @@ def _structural_validation(sys: FactorSystem, cert: "ConjectureCertificate") -> 
         for g in fc.g_corrections:
             if any(l != fc.lam for l, _ in g):
                 raise MalformedCertificate(f"factor {fc.lam}: correction {g!r} outside its factor")
+    for t in cert.tree_transversal:
+        if not is_normal_form(sys, "G", t):
+            raise MalformedCertificate(f"transversal word {t!r} is not in normal form")
 
 
 def _claimed_gens(fc) -> list:
@@ -156,7 +161,7 @@ def verify_certificate(
     """
     _structural_validation(sys, cert)
     h_gens = tuple(tuple(w) for w in h_gens)
-    graph = canonicalize(complete_graph(sys, build_core(sys, h_gens), max_cosets))
+    graph = complete_graph(sys, build_core(sys, h_gens), max_cosets)
     return check_certificate(sys, graph, cert)
 
 
@@ -181,9 +186,13 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
             for g, bp, x in zip(fc.g_corrections, fc.beta_primes, fc.reps):
                 if multiply(sys, "G", invert(sys, "G", g), bp) != x:
                     bad.append(f"factor {fc.lam}: rep != correction^-1 * beta'")
-        for t in cert.tree_transversal:
+        if len(cert.tree_transversal) != graph.vertex_count:
+            bad.append(f"{len(cert.tree_transversal)} transversal words for index {graph.vertex_count}")
+        for i, t in enumerate(cert.tree_transversal):
             if theta_word(sys, t) != EMPTY:
                 bad.append("transversal word with nontrivial image")
+            if trace(graph, t) != i:
+                bad.append(f"transversal word {i} does not lead to coset {i}")
         return (not bad, "; ".join(bad[:3]))
 
     def c2():

@@ -14,6 +14,11 @@ smallest dirty job.  ``WedgeBuilder`` is the builder
 with its original seeding, one new vertex per syllable of every generator
 (a wedge of cycles at the base), which the two-ended scan of
 ``_Builder.add_generator_cycle`` must fold to the same graph.
+``TwoPassSaturateBuilder`` is the builder with its original saturation,
+a breadth-first labelling of the component followed by a second pass
+over every edge of every factor to collect the stabilizer generators,
+and the stabilizer closure and coset table built even when there is no
+generator.
 ``cubic_associative`` and ``all_pairs_hom`` are the exhaustive group-table
 checks that Light's test and the law on generators replaced in
 ``fingroup``.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from freedecomp import covgraph
 from freedecomp.covgraph import CoreGraph, lambda_components
-from freedecomp.fingroup import subgroup_conjugacy_key
+from freedecomp.fingroup import subgroup_closure, subgroup_conjugacy_key
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
 from freedecomp.kurosh import KuroshInvariants, kurosh_decompose
 
@@ -293,6 +298,69 @@ class WedgeBuilder(covgraph._Builder):
             v = self.find(w)
         lam, g = word[-1]
         self.add_edge(v, lam, g, self.find(0))
+
+
+class TwoPassSaturateBuilder(covgraph._Builder):
+    """The builder saturating in two passes, the work the one-walk
+    ``_Builder._saturate`` must reproduce."""
+
+    def _saturate(self, lam: int, root: int) -> None:
+        group = self.groups[lam]
+        mul, inv = group.mul, group.inv
+        label = {root: 0}
+        comp = [root]
+        qi = 0
+        while qi < len(comp):
+            u = comp[qi]
+            qi += 1
+            for g in range(1, group.order):
+                w = self.adj[u].get((lam, g))
+                if w is None:
+                    continue
+                w = self.find(w)
+                self.adj[u][(lam, g)] = w
+                if w not in label:
+                    label[w] = mul[label[u]][g]
+                    comp.append(w)
+        sgens = set()
+        for u in comp:
+            for (l2, g), w in self.adj[u].items():
+                if l2 != lam:
+                    continue
+                w = self.find(w)
+                s = mul[mul[label[u]][g]][inv[label[w]]]
+                if s:
+                    sgens.add(s)
+        stab = subgroup_closure(group, sgens)
+        coset = [-1] * group.order
+        for x in range(group.order):
+            if coset[x] < 0:
+                for s in stab:
+                    coset[mul[s][x]] = x
+        buckets: dict = {}
+        for u in comp:
+            buckets.setdefault(coset[label[u]], []).append(u)
+        merged = False
+        for key in sorted(buckets):
+            group_vs = buckets[key]
+            if len(group_vs) > 1:
+                first = min(group_vs)
+                for other in group_vs:
+                    if other != first:
+                        self.pending.append((first, other))
+                merged = True
+        if merged:
+            return
+        at = {key: vs[0] for key, vs in buckets.items()}
+        for u in comp:
+            adj_u, row = self.adj[u], mul[label[u]]
+            for g in range(1, group.order):
+                if (lam, g) not in adj_u:
+                    v = at.get(coset[row[g]])
+                    if v is not None:
+                        self.add_edge(u, lam, g, v)
+        for u in comp:
+            self.dirty.discard((lam, u))
 
 
 def cubic_associative(rows) -> tuple[int, int, int] | None:

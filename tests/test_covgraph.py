@@ -16,9 +16,10 @@ from freedecomp import (
 )
 from freedecomp import covgraph
 from freedecomp.covgraph import graph_edges, trace
-from freedecomp.freeprod import EMPTY, invert, multiply, normalize, parse_word
+from freedecomp.fingroup import sym
+from freedecomp.freeprod import EMPTY, format_word, invert, make_system, multiply, normalize, parse_word
 
-from conftest import enumerate_ball, z2z3_point_stabilizer
+from conftest import S3, Z2, Z4, enumerate_ball, z2z3_point_stabilizer
 
 
 def w(sys, text):
@@ -338,26 +339,6 @@ def test_completion_that_stays_partial_raises(sys_a, sys_a_gens, monkeypatch):
         complete_graph(sys_a, build_core(sys_a, sys_a_gens), 100)
 
 
-def test_completion_copies_a_complete_core(corpus, monkeypatch):
-    # a finished graph is folded and saturated: completing it again runs no
-    # saturation job and returns it unchanged
-    jobs = []
-    saturate = covgraph._Builder._saturate
-
-    def logged(self, lam, v):
-        jobs.append((lam, v))
-        saturate(self, lam, v)
-
-    monkeypatch.setattr(covgraph._Builder, "_saturate", logged)
-    graphs = [(inst.system, inst.graph) for inst in corpus[:60]]
-    ps = z2z3_point_stabilizer(120)
-    graphs.append((ps.system, complete_graph(ps.system, build_core(ps.system, ps.gens), ps.index)))
-    for sys, graph in graphs:
-        jobs.clear()
-        assert complete_graph(sys, graph, graph.vertex_count) == graph
-        assert jobs == []
-
-
 def test_saturation_adds_only_missing_edges(corpus, monkeypatch):
     # each add_edge call that _saturate makes fills an empty slot
     calls = []
@@ -524,3 +505,127 @@ def test_scan_creates_few_vertices_and_no_op_edges(monkeypatch):
         assert build_core(ps.system, ps.gens).vertex_count == n
         assert counts["vertices"] < 1.1 * n
         assert counts["no_op"] < 0.01 * counts["edges"]
+
+
+def _family(sizes=(12, 60, 300, 1200)):
+    return [(ps.system, ps.gens, ps.index) for ps in map(z2z3_point_stabilizer, sizes)]
+
+
+def test_graphs_come_out_canonical(corpus):
+    # every graph build_core and complete_graph return is numbered as
+    # canonicalize numbers it, so canonicalizing it changes nothing
+    systems = [(inst.system, inst.gens, 60) for inst in corpus] + _family()
+    incomplete = 0
+    for sys, gens, max_cosets in systems:
+        core, full = _core_and_completion(sys, gens, max_cosets)
+        incomplete += not core.complete
+        assert canonicalize(core) == core
+        assert canonicalize(full) == full
+        assert canonical_encoding(full) == canonical_encoding(canonicalize(full))
+    assert incomplete >= 10
+
+
+def test_complete_core_is_returned_as_is(corpus, monkeypatch):
+    # completion hands a complete core, or a finished graph, back without
+    # copying it into a builder, after the coset bound check
+    cores = [(inst.system, build_core(inst.system, inst.gens)) for inst in corpus]
+    cores += [(sys, build_core(sys, gens)) for sys, gens, _ in _family((60, 300))]
+    cores = [(sys, core) for sys, core in cores if core.complete]
+    assert len(cores) >= 150
+    cores += [(inst.system, inst.graph) for inst in corpus[:60]]
+    calls = []
+    to_graph = covgraph._Builder.to_graph
+    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self, gens: calls.append(1) or to_graph(self, gens))
+    for sys, core in cores:
+        assert complete_graph(sys, core, core.vertex_count) is core
+        if core.vertex_count > 1:
+            with pytest.raises(IndexBoundExceeded, match=f"coset bound {core.vertex_count - 1} exceeded"):
+                complete_graph(sys, core, core.vertex_count - 1)
+    assert calls == []
+
+
+def test_kurosh_command_reads_a_complete_core_once(tmp_path, monkeypatch):
+    # the point stabilizer's Schreier generators give a complete core, so
+    # the command materialises one graph: no completion copy, no relabelling
+    import json
+
+    from freedecomp import cli
+
+    ps = z2z3_point_stabilizer(60)
+    assert build_core(ps.system, ps.gens).complete
+    path = tmp_path / "system.json"
+    path.write_text(
+        json.dumps(
+            {
+                "factors_G": ["cyclic 2", "cyclic 3"],
+                "factors_B": ["cyclic 2", "cyclic 1"],
+                "theta": [[0, 1], [0, 0, 0]],
+                "subgroup": [format_word(w) for w in ps.gens],
+            }
+        ),
+        encoding="utf-8",
+    )
+    calls = []
+    to_graph = covgraph._Builder.to_graph
+    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self, gens: calls.append(1) or to_graph(self, gens))
+    assert cli.main(["kurosh", str(path), "-o", str(tmp_path / "k.json")]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "k.json").read_text())["free_rank"] == ps.free_rank
+
+
+def _one_vertex_stabilizer_systems():
+    """Systems X * Z2 for X = S3, S4, S5, Z4 whose generators put loops
+    labelled s and t at a vertex with no other X-edge: a one-vertex
+    component whose stabilizer <s, t> saturation must fill with loops."""
+    out = []
+    for group in (S3, sym(4), sym(5), Z4):
+        sys = make_system([group, Z2], [group, Z2], [list(range(group.order)), [0, 1]])
+        elems = sorted({1, 2, 3, group.order - 1})
+        for s in elems:
+            for t in elems:
+                if s <= t:
+                    out.append((sys, [((0, s),), ((0, t),)], 8))
+                    out.append((sys, [((1, 1), (0, s), (1, 1)), ((1, 1), (0, t), (1, 1))], 8))
+                    out.append((sys, [((0, t), (1, 1), (0, s), (1, 1), (0, group.inv[t]))], 8))
+    return out
+
+
+def _outcome(sys, gens, max_cosets):
+    core = build_core(sys, gens)
+    try:
+        full = complete_graph(sys, core, max_cosets)
+    except IndexBoundExceeded:
+        return canonical_encoding(core), "bound"
+    return canonical_encoding(core), canonical_encoding(full)
+
+
+def test_one_walk_saturation_matches_two_passes(corpus, monkeypatch):
+    # _saturate labels a component and collects its stabilizer generators
+    # in one walk; the two-pass original in naive_enum must give the same
+    # cores and completions.  The X * Z2 systems make saturation fill a
+    # one-vertex component with a nontrivial stabilizer, counted here.
+    from naive_enum import TwoPassSaturateBuilder
+
+    filled = set()
+    saturate = covgraph._Builder._saturate
+
+    def watched(self, lam, v):
+        def loops():
+            return sum(self.find(w) == v for (l2, _), w in self.adj[v].items() if l2 == lam)
+
+        before = loops()
+        saturate(self, lam, v)
+        alone = all(self.find(w) == v for (l2, _), w in self.adj[v].items() if l2 == lam)
+        if alone and 0 < before < loops():
+            filled.add(self.groups[lam].order)
+
+    systems = [(inst.system, inst.gens, 60) for inst in corpus] + _family()
+    systems += _one_vertex_stabilizer_systems()
+    for sys, gens, max_cosets in systems:
+        with monkeypatch.context() as m:
+            m.setattr(covgraph._Builder, "_saturate", watched)
+            got = _outcome(sys, gens, max_cosets)
+        with monkeypatch.context() as m:
+            m.setattr(covgraph, "_Builder", TwoPassSaturateBuilder)
+            assert got == _outcome(sys, gens, max_cosets)
+    assert {6, 24, 120, 4} <= filled

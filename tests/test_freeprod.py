@@ -86,6 +86,82 @@ def test_parse_and_format(z2z3):
         parse_word(z2z3, "G", "nonsense")
 
 
+def _reference_parse(sys, side, text):
+    """``parse_word`` as it was before its token memo: every token goes
+    through ``int`` and ``normalize`` checks every syllable."""
+    text = text.strip()
+    if not text:
+        return EMPTY
+    syllables = []
+    for token in text.split():
+        parts = token.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"bad word token {token!r}, expected 'factor:element'")
+        try:
+            syllables.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"bad word token {token!r}: {exc}") from exc
+    return normalize(sys, side, syllables)
+
+
+def _outcome(parse, sys, side, text):
+    try:
+        return parse(sys, side, text)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_word_spellings_and_errors():
+    sys = make_system([Z4, Z3], [Z2, Z3], [[0, 1, 0, 1], [0, 1, 2]])
+    for _ in range(2):  # the second round reads what the first memoised
+        for text in ("+0:1", "00:1", "0:01", "0:\u0661", " 0:1 ", "0:1", "0:0 1:2", "+1:+2 1:1"):
+            assert parse_word(sys, "G", text) == _reference_parse(sys, "G", text)
+        assert parse_word(sys, "G", "+0:1") == parse_word(sys, "G", "00:1") == ((0, 1),)
+        # messages as before, raised on every parse, the first bad token in
+        # word order after every token has been read
+        for text, message in (
+            ("0:9", "element 9 out of range for factor 0"),
+            ("2:1", "factor index 2 out of range"),
+            ("-1:1", "factor index -1 out of range"),
+            ("0:1 nonsense", "bad word token 'nonsense', expected 'factor:element'"),
+            ("0:x", "bad word token '0:x': invalid literal for int() with base 10: 'x'"),
+            ("0:9 1:1 zz", "bad word token 'zz', expected 'factor:element'"),
+            ("0:1 1:3 0:4", "element 3 out of range for factor 1"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_word(sys, "G", text)
+            assert str(info.value) == message, text
+    # only the plain spelling of a checked token is kept
+    assert set(sys._token_memo["G"]) <= {f"{lam}:{e}" for lam, g in enumerate(sys.factors_g) for e in range(g.order)}
+    assert "+0:1" not in sys._token_memo["G"] and "0:\u0661" not in sys._token_memo["G"]
+    assert "0:1" in sys._token_memo["G"]
+
+
+def test_parse_word_memo_is_kept_per_side():
+    # 0:3 is an element of G_0 = Z4 but not of B_0 = Z2
+    sys = make_system([Z4], [Z2], [[0, 1, 0, 1]])
+    assert parse_word(sys, "G", "0:3") == ((0, 3),)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="element 3 out of range for factor 0"):
+            parse_word(sys, "B", "0:3")
+    assert parse_word(sys, "G", "0:3 0:3") == ((0, 2),)
+    assert parse_word(sys, "B", "0:1") == ((0, 1),)
+
+
+@given(data=st.data())
+def test_parse_word_matches_reference(data):
+    # random spellings, junk and out-of-range tokens, parsed twice so the
+    # second parse reads the memo: same words and same errors as before
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    side = data.draw(st.sampled_from(["G", "B"]))
+    number = st.sampled_from(["0", "1", "2", "3", "5", "6", "00", "01", "+1", "-1", "x", ""])
+    token = st.one_of(st.builds(lambda a, b: f"{a}:{b}", number, number), st.sampled_from(["1", "0:1:1", ":"]))
+    text = " ".join(data.draw(st.lists(token, max_size=6)))
+    expected = _outcome(_reference_parse, sys, side, text)
+    assert _outcome(parse_word, sys, side, text) == expected
+    assert _outcome(parse_word, sys, side, text) == expected
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         make_system([Z2], [Z2, Z3], [[0, 1]])

@@ -231,6 +231,53 @@ def test_c5_completes_within_the_subgroup_index(monkeypatch, n, seed):
         assert counts["peak"] <= 2 * n + 8 and counts["created"] < 2 * (2 * n + 8), (label, counts)
 
 
+def _transversal_tamper_cases(corpus):
+    """Valid certificates of the corpus and the scaling family."""
+    cases = [(inst.system, inst.gens) for inst in corpus]
+    cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (3, 12, 60))]
+    for sys, gens in cases:
+        try:
+            check_h_theta_surjective(sys, gens, 200)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        cert, _, graph = decompose_and_check(sys, gens, Bounds(max_cosets=200))
+        if graph.vertex_count > 1:
+            yield sys, gens, cert
+
+
+def test_transversal_word_must_lead_to_its_coset(corpus):
+    # C1 ties word i of tree_transversal to coset i of H's canonical graph.
+    # Squaring the first nonempty word keeps it image-trivial and in normal
+    # form but sends it elsewhere; dropping the last word leaves a coset
+    # without one.  Both fail C1 and nothing else.
+    seen = 0
+    for sys, gens, cert in _transversal_tamper_cases(corpus):
+        words = list(cert.tree_transversal)
+        i = next(i for i, t in enumerate(words) if t)
+        squared = words[:i] + [multiply(sys, "G", words[i], words[i])] + words[i + 1 :]
+        for label, forged in (("squared", squared), ("dropped", words[:-1])):
+            report = verify_certificate(sys, gens, dataclasses.replace(cert, tree_transversal=tuple(forged)))
+            assert [c.status for c in report.checks] == ["fail"] + ["pass"] * 5, label
+        seen += 1
+    assert seen >= 30
+
+
+def test_transversal_word_must_be_in_normal_form(corpus):
+    # the unreduced concatenation t t of a word that starts and ends in
+    # one factor is rejected before any check runs
+    seen = 0
+    for sys, gens, cert in _transversal_tamper_cases(corpus):
+        words = list(cert.tree_transversal)
+        i = next((i for i, t in enumerate(words) if t and t[0][0] == t[-1][0]), None)
+        if i is None:
+            continue
+        forged = words[:i] + [words[i] + words[i]] + words[i + 1 :]
+        with pytest.raises(MalformedCertificate, match="transversal word .* is not in normal form"):
+            verify_certificate(sys, gens, dataclasses.replace(cert, tree_transversal=tuple(forged)))
+        seen += 1
+    assert seen >= 20
+
+
 def _tampered(sys, cert):
     """The benchmark's two tamperings: the first piece listed twice, and
     a factor's free basis gaining the product of its first and last words."""
