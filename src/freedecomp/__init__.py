@@ -56,17 +56,14 @@ from .freeprod import (
 from .higgins import HigginsDecomposition, ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
 from .kurosh import (
     KuroshDecomposition,
-    KuroshInvariants,
     KuroshPiece,
     SpanningData,
     kurosh_decompose,
-    kurosh_invariants,
     spanning_data,
 )
 from .verify import (
     MalformedCertificate,
     VerificationReport,
-    brute_force_double_cosets,
     verify_certificate,
 )
 

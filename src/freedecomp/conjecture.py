@@ -178,13 +178,11 @@ def _assemble(
                 raise BetaImageNotInFactor(f"image of {beta_prime} is {image}, not inside factor {lam}")
             x = multiply(sys, "G", invert(sys, "G", g_word), beta_prime)
             assert theta_word(sys, x) == EMPTY
+            # the piece's word beta'^-1 s beta' for s is x^-1 (g^-1 s g) x,
+            # so the vertex group lists the piece's words by g^-1 s g
             ginv = group.inv[g_elem]
-            conj_stab = sorted(group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer)
-            xinv = invert(sys, "G", x)
-            vg = tuple(
-                multiply(sys, "G", multiply(sys, "G", xinv, ((lam, s),)), x) for s in conj_stab if s
-            )
-            assert set(vg) == set(piece.vertex_group_gens)
+            conj = (group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer[1:])
+            vg = tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens)))
             beta_primes.append(beta_prime)
             g_corrections.append(g_word)
             reps.append(x)

@@ -69,7 +69,6 @@ class CoreGraph:
 
     vertex_count: int
     action: tuple[dict, ...]
-    subgroup_gens: tuple[Word, ...]
     complete: bool
 
 
@@ -322,7 +321,7 @@ class _Builder:
         lam, g = word[j - 1]
         self.add_edge(f, lam, g, b)
 
-    def to_graph(self, gens: tuple[Word, ...]) -> CoreGraph:
+    def to_graph(self) -> CoreGraph:
         """Stabilize and read the graph out in canonical form.
 
         One breadth-first walk from the base, taking each vertex's edges in
@@ -351,18 +350,16 @@ class _Builder:
         return CoreGraph(
             vertex_count=len(order),
             action=tuple(action),
-            subgroup_gens=gens,
             complete=complete,
         )
 
 
 def build_core(sys: FactorSystem, gens) -> CoreGraph:
     """Folded saturated core of the subgroup generated by ``gens``."""
-    gens = tuple(gens)
     builder = _Builder(sys)
     for w in gens:
         builder.add_generator_cycle(w)
-    return builder.to_graph(gens)
+    return builder.to_graph()
 
 
 def complete_graph(sys: FactorSystem, core: CoreGraph, max_cosets: int) -> CoreGraph:
@@ -400,7 +397,7 @@ def complete_graph(sys: FactorSystem, core: CoreGraph, max_cosets: int) -> CoreG
         w = builder.new_vertex()
         builder.add_edge(v, lam, g, w)
         builder.stabilize()
-    graph = builder.to_graph(core.subgroup_gens)
+    graph = builder.to_graph()
     if not graph.complete:
         raise GraphNotComplete("completion left a vertex with an undefined action")
     if graph.vertex_count > max_cosets:
@@ -422,8 +419,8 @@ def trace(graph: CoreGraph, w: Word, start: int = 0) -> int | None:
 def membership(sys: FactorSystem, graph: CoreGraph, w: Word) -> bool:
     """Whether the word lies in the subgroup the graph represents.
 
-    Exact on complete graphs (the full coset table); on cores this decides
-    membership in the subgroup generated by ``subgroup_gens``.
+    Exact on complete graphs (the full coset table) and on cores alike: a
+    core decides membership in the subgroup whose generators built it.
     """
     return trace(graph, w) == 0
 
@@ -503,7 +500,6 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     return CoreGraph(
         vertex_count=graph.vertex_count,
         action=tuple(action),
-        subgroup_gens=graph.subgroup_gens,
         complete=graph.complete,
     )
 

@@ -11,6 +11,7 @@ closed under products, so a law that holds on generators holds everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -169,18 +170,25 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     )
 
 
+@functools.cache
 def cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n, written additively mod n."""
+    """Cyclic group of order n, written additively mod n.
+
+    Built and validated once per n; the group is immutable, so every
+    caller shares it.
+    """
     if n < 1:
         raise MalformedTable(f"cyclic order must be positive, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return validate_group(table, name=f"Z{n}")
 
 
+@functools.cache
 def sym(n: int) -> FiniteGroup:
     """Symmetric group on n letters (n <= 5), elements in lexicographic order.
 
-    The product pq applies p first, then q.
+    The product pq applies p first, then q.  Built and validated once per
+    n, like ``cyclic``.
     """
     if not 1 <= n <= 5:
         raise MalformedTable(f"sym(n) supports 1 <= n <= 5, got {n}")
@@ -270,19 +278,3 @@ def solve_preimage(hom: GroupHom, b: int) -> int:
             return g
     raise NoPreimage(f"{b} has no preimage under {hom.source.name} -> {hom.target.name}")
 
-
-def subgroup_conjugacy_key(group: FiniteGroup, elems: Iterable[int]) -> tuple[int, ...]:
-    """Canonical key of the conjugacy class of a subgroup inside ``group``.
-
-    The key is the lexicographically smallest sorted element tuple over all
-    conjugates, so two subgroups get equal keys iff they are conjugate.
-    """
-    base = frozenset(elems) | {0}
-    best = None
-    for t in range(group.order):
-        tinv = group.inv[t]
-        conj = tuple(sorted(group.mul[group.mul[tinv][s]][t] for s in base))
-        if best is None or conj < best:
-            best = conj
-    assert best is not None
-    return best

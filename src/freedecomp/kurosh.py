@@ -4,8 +4,6 @@ From a folded saturated graph this extracts, per factor component, a
 vertex-group piece (the component stabilizer conjugated back to the base
 vertex by the spanning-tree transversal) and a free basis of Schreier
 elements, one per component-tree edge missing from the global tree.
-Its fingerprint, the invariant part of that answer, is read off the
-components alone.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covgraph import CoreGraph, Edge, LambdaComponent, lambda_components
-from .fingroup import subgroup_conjugacy_key
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
 
 
@@ -44,15 +41,6 @@ class KuroshPiece:
 class KuroshDecomposition:
     pieces: tuple[KuroshPiece, ...]
     free_basis: tuple[Word, ...]
-    free_rank: int
-
-
-@dataclass(frozen=True)
-class KuroshInvariants:
-    """Uniqueness-based fingerprint: multiset of (factor, stabilizer class)
-    pairs plus the free rank."""
-
-    piece_classes: tuple[tuple[int, tuple[int, ...]], ...]
     free_rank: int
 
 
@@ -147,26 +135,3 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
         free_rank=len(basis),
     )
 
-
-def kurosh_invariants(sys: FactorSystem, graph: CoreGraph) -> KuroshInvariants:
-    """The fingerprint of the subgroup read off its graph's lam-components.
-
-    Each component with a nontrivial stabilizer is one piece, classed by
-    the stabilizer's conjugacy class in G_lam.  The free rank is the cycle
-    rank of the graph with the vertices and the components as nodes and
-    one edge per (vertex, component containing it): (k - 1)|V| - C + 1 for
-    k factors and C components, which is the basis length of
-    ``kurosh_decompose``.  No transversal or Schreier word is built.
-    """
-    classes = []
-    count = 0
-    for lam in range(sys.num_factors):
-        comps = lambda_components(sys, graph, lam)
-        count += len(comps)
-        classes.extend(
-            (lam, subgroup_conjugacy_key(sys.factors_g[lam], comp.stabilizer))
-            for comp in comps
-            if len(comp.stabilizer) > 1
-        )
-    rank = (sys.num_factors - 1) * graph.vertex_count - count + 1
-    return KuroshInvariants(piece_classes=tuple(sorted(classes)), free_rank=rank)

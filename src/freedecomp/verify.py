@@ -10,28 +10,44 @@ H's canonically numbered coset graph.  C2 decides, for each factor lam,
 that the images of the words generating H_lam (its vertex-group words and
 its free basis) lie in B_lam and generate it, so a free-basis word cannot
 move to another factor unnoticed.  C3 decides that each piece is exactly
-H cap G_lam^x.  C5 decides that the pieces and the free bases generate H:
-membership shows that they generate some K <= H, and completing K's graph
-with the coset bound set to H's index succeeds exactly when [G : K] is at
-most [G : H], that is when K = H.  C7 decides that the pieces and the free
-basis form a free-product basis of H: given C3 and C5, the formal free
-product Pi of the pieces and a free group on the basis maps onto H, and
-it is isomorphic to H exactly when its Kurosh fingerprint (multiset of
-factor/conjugacy-class pairs plus free rank) equals H's, by the uniqueness
-part of Kurosh's theorem.  Pi is finitely generated and virtually free,
-hence residually finite and so Hopfian (Mal'cev), so an onto map Pi -> H
-between isomorphic groups is an isomorphism.  H's fingerprint is read off
-the lam-components of its coset graph.
+H cap G_lam^x: x^-1 g x lies in H exactly when Hx^-1 g = Hx^-1, so the
+piece is x^-1 Stab(v) x for the vertex v = Hx^-1, and Stab(v) is read off
+v's lam-component of the coset graph.  C4 decides that the representatives
+lie in pairwise distinct lam-components, one in each component whose
+stabilizer is nontrivial, with the empty word in the base's when that one
+is nontrivial; the lam-components are the lam-orbits of the cosets, in
+bijection with the double cosets of G_lam and H.  C5 decides that the
+pieces and the free bases generate H: membership shows that they generate
+some K <= H, and completing K's graph with the coset bound set to H's
+index succeeds exactly when [G : K] is at most [G : H], that is when
+K = H.  C7 decides that the pieces and the free basis form a free-product
+basis of H: given C3 and C5, the formal free product Pi of the pieces and
+a free group on the basis maps onto H, and it is isomorphic to H exactly
+when its Kurosh fingerprint (multiset of factor/conjugacy-class pairs plus
+free rank) equals H's, by the uniqueness part of Kurosh's theorem.  Pi is
+finitely generated and virtually free, hence residually finite and so
+Hopfian (Mal'cev), so an onto map Pi -> H between isomorphic groups is an
+isomorphism.
 
-So C2, C3, C5 and C7 decide the whole claim: grouping a free-product
-basis of H by factor writes H as *_lam H_lam with
+H's fingerprint is read off the lam-components of its coset graph: one
+piece per component with a nontrivial stabilizer, classed by that
+stabilizer's conjugacy class in G_lam, and free rank (k - 1) n - C + 1
+for k factors, index n and C components in all, the cycle rank of the
+graph with the vertices and the components as nodes and one edge per
+vertex and component containing it.  Given C3 and C4 the piece classes
+already agree: C4 pairs the representatives one-to-one with the components
+of nontrivial stabilizer, C3 makes the piece at x equal to x^-1 Stab(v) x,
+of class Stab(v), for the vertex v = Hx^-1 of x's component, and the
+stabilizers of the vertices of one component are conjugate in G_lam
+(Stab(v a) = a^-1 Stab(v) a).  So C7 needs C3, C4 and C5 and compares
+only the number of free-basis words with the free rank.
+
+So C2, C3, C5 and C7, which needs C4, decide the whole claim: grouping a
+free-product basis of H by factor writes H as *_lam H_lam with
 H_lam = *(pieces of lam) * F_lam, and C2 gives theta(H_lam) = B_lam.  A
 separate list of generators of each H_lam, and a check comparing H's
 fingerprint with the merged fingerprints of those lists, would certify
 nothing more, so the certificate has neither.
-
-The double-coset oracle deliberately avoids the spanning tree and Schreier
-machinery: orbits are computed directly on the coset graph.
 """
 
 from __future__ import annotations
@@ -44,14 +60,15 @@ from .covgraph import (
     CoreGraph,
     GraphNotComplete,
     IndexBoundExceeded,
+    LambdaComponent,
     build_core,
     complete_graph,
+    lambda_components,
     membership,
     trace,
 )
-from .fingroup import subgroup_closure, subgroup_conjugacy_key
+from .fingroup import subgroup_closure
 from .freeprod import EMPTY, FactorSystem, invert, is_normal_form, multiply, theta_word
-from .kurosh import kurosh_invariants
 
 if TYPE_CHECKING:  # pragma: no cover
     from .conjecture import ConjectureCertificate
@@ -81,35 +98,6 @@ class VerificationReport:
         ]
         lines.append(f"verdict: {'pass' if self.verdict else 'FAIL'}")
         return "\n".join(lines)
-
-
-def brute_force_double_cosets(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[tuple[int, ...]]:
-    """Orbits of the factor-lam action on the cosets of the complete graph.
-
-    Orbits are in bijection with the double cosets of the factor against the
-    subgroup; returned sorted by smallest vertex, so indices are canonical ids.
-    """
-    if not graph.complete:
-        raise GraphNotComplete("double-coset orbits need the full coset graph")
-    group = sys.factors_g[lam]
-    seen = set()
-    orbits = []
-    for start in range(graph.vertex_count):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        qi = 0
-        while qi < len(orbit):
-            u = orbit[qi]
-            qi += 1
-            for g in range(1, group.order):
-                v = graph.action[u][(lam, g)]
-                if v not in seen:
-                    seen.add(v)
-                    orbit.append(v)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
 
 
 def _structural_validation(sys: FactorSystem, cert: "ConjectureCertificate") -> None:
@@ -169,6 +157,8 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
     """Run checks C1-C7 of a structurally valid certificate against the
     complete canonical coset graph of H.  The checks keep their numbers,
     so there is no C6 (see the module docstring)."""
+    if not graph.complete:
+        raise GraphNotComplete("certificates are checked on the complete coset graph")
     checks: list[CheckResult] = []
 
     def run(name, fn):
@@ -213,17 +203,31 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
                 bad.append(f"factor {fc.lam}: generator images do not generate the target factor")
         return (not bad, "; ".join(bad[:3]))
 
+    # C3 walks each factor's lam-components once and finds the component
+    # of every representative's vertex; C4 and C7 read the walk
+    components: dict[int, list[LambdaComponent]] = {}
+    rep_components: dict[int, list[int]] = {}
+
     def c3():
         bad = []
         for fc in cert.factors:
             group = sys.factors_g[fc.lam]
+            mul, inv = group.mul, group.inv
+            comps = components[fc.lam] = lambda_components(sys, graph, fc.lam)
+            at = {v: i for i, comp in enumerate(comps) for v in comp.vertices}
+            found = rep_components[fc.lam] = []
             for mu, (x, vg) in enumerate(zip(fc.reps, fc.vertex_groups)):
                 xinv = invert(sys, "G", x)
-                computed = set()
-                for g in range(1, group.order):
-                    w = multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, g),)), x)
-                    if membership(sys, graph, w):
-                        computed.add(w)
+                v = trace(graph, xinv)
+                found.append(at[v])
+                comp = comps[at[v]]
+                # Stab(v) = a^-1 S a for the root's stabilizer S and v = root a
+                a = comp.coset_label[v]
+                computed = {
+                    multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, mul[mul[inv[a]][s]][a]),)), x)
+                    for s in comp.stabilizer
+                    if s
+                }
                 if computed != set(vg):
                     bad.append(f"factor {fc.lam} piece {mu}: vertex group differs from exhaustive intersection")
         return (not bad, "; ".join(bad[:3]))
@@ -231,25 +235,13 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
     def c4():
         bad = []
         for fc in cert.factors:
-            group = sys.factors_g[fc.lam]
-            orbits = brute_force_double_cosets(sys, graph, fc.lam)
-            vertex_orbit = {}
-            for i, orbit in enumerate(orbits):
-                for v in orbit:
-                    vertex_orbit[v] = i
-            rep_orbits = []
-            for x in fc.reps:
-                v = trace(graph, invert(sys, "G", x))
-                rep_orbits.append(vertex_orbit[v])
-            if len(set(rep_orbits)) != len(rep_orbits):
+            comps, found = components[fc.lam], rep_components[fc.lam]
+            if len(set(found)) != len(found):
                 bad.append(f"factor {fc.lam}: two representatives share a double coset")
-            nontrivial = {i for i, orbit in enumerate(orbits) if len(orbit) < group.order}
-            if set(rep_orbits) != nontrivial:
+            nontrivial = {i for i, comp in enumerate(comps) if len(comp.stabilizer) > 1}
+            if set(found) != nontrivial:
                 bad.append(f"factor {fc.lam}: representatives do not match the nontrivial double cosets")
-            base_has_stab = any(
-                graph.action[0].get((fc.lam, g)) == 0 for g in range(1, group.order)
-            )
-            if base_has_stab and EMPTY not in fc.reps:
+            if len(comps[0].stabilizer) > 1 and EMPTY not in fc.reps:
                 bad.append(f"factor {fc.lam}: trivial representative missing")
         return (not bad, "; ".join(bad[:3]))
 
@@ -266,26 +258,13 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
 
     def c7():
         passed = {c.name.split()[0] for c in checks if c.status == "pass"}
-        if not {"C3", "C5"} <= passed:
-            return False, "needs C3 and C5"
-        classes = []
-        for fc in cert.factors:
-            group = sys.factors_g[fc.lam]
-            for x, vg in zip(fc.reps, fc.vertex_groups):
-                xinv = invert(sys, "G", x)
-                members = set(vg)
-                stab = [
-                    g
-                    for g in range(group.order)
-                    if not g or multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, g),)), x) in members
-                ]
-                classes.append((fc.lam, subgroup_conjugacy_key(group, stab)))
+        if not {"C3", "C4", "C5"} <= passed:
+            return False, "needs C3, C4 and C5"
         rank = sum(len(fc.f_basis) for fc in cert.factors)
-        whole = kurosh_invariants(sys, graph)
-        if tuple(sorted(classes)) != whole.piece_classes:
-            return False, f"piece classes {sorted(classes)} differ from the subgroup's {list(whole.piece_classes)}"
-        if rank != whole.free_rank:
-            return False, f"{rank} free-basis words for free rank {whole.free_rank}"
+        count = sum(len(comps) for comps in components.values())
+        free_rank = (sys.num_factors - 1) * graph.vertex_count - count + 1
+        if rank != free_rank:
+            return False, f"{rank} free-basis words for free rank {free_rank}"
         return True, "exact: pieces and free basis match the Kurosh fingerprint of the subgroup"
 
     run("C1 image-trivial representatives", c1)

@@ -7,8 +7,13 @@ package's fold/saturate builder, so agreement between the two is meaningful
 evidence.  ``brute_force_members`` enumerates products of generators,
 ``rank_formula`` counts the free rank from component sizes,
 ``decomposition_fingerprint`` counts the Kurosh fingerprint from the
-pieces and the Schreier free basis of ``kurosh_decompose`` (the verifier
-reads it off the components instead), and ``LinearScanBuilder`` is the
+pieces and the Schreier free basis of ``kurosh_decompose``, classing each
+piece by ``subgroup_conjugacy_key`` (the verifier reads the free rank off
+the components instead).  ``brute_force_double_cosets`` walks the orbits
+of a factor on the cosets without ``lambda_components``, and
+``exhaustive_intersection`` traces every conjugate x^-1 g x through
+``membership``, the verifier's C4 and C3 before they read the
+lam-components.  ``LinearScanBuilder`` is the
 graph builder with its original job choice, a linear scan for the
 smallest dirty job.  ``WedgeBuilder`` is the builder
 with its original seeding, one new vertex per syllable of every generator
@@ -26,11 +31,13 @@ checks that Light's test and the law on generators replaced in
 
 from __future__ import annotations
 
+from typing import Iterable, NamedTuple
+
 from freedecomp import covgraph
-from freedecomp.covgraph import CoreGraph, lambda_components
-from freedecomp.fingroup import subgroup_closure, subgroup_conjugacy_key
+from freedecomp.covgraph import CoreGraph, GraphNotComplete, lambda_components, membership
+from freedecomp.fingroup import FiniteGroup, subgroup_closure
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
-from freedecomp.kurosh import KuroshInvariants, kurosh_decompose
+from freedecomp.kurosh import kurosh_decompose
 
 
 class EnumerationOverflow(Exception):
@@ -258,14 +265,81 @@ def rank_formula(sys: FactorSystem, graph: CoreGraph) -> int:
     return total - (graph.vertex_count - 1)
 
 
-def decomposition_fingerprint(sys: FactorSystem, graph: CoreGraph) -> KuroshInvariants:
+class Fingerprint(NamedTuple):
+    """Kurosh fingerprint: the sorted (factor, stabilizer class) pairs of
+    the pieces plus the free rank."""
+
+    piece_classes: tuple[tuple[int, tuple[int, ...]], ...]
+    free_rank: int
+
+
+def subgroup_conjugacy_key(group: FiniteGroup, elems: Iterable[int]) -> tuple[int, ...]:
+    """Canonical key of the conjugacy class of a subgroup inside ``group``.
+
+    The key is the lexicographically smallest sorted element tuple over all
+    conjugates, so two subgroups get equal keys iff they are conjugate.
+    """
+    base = frozenset(elems) | {0}
+    best = None
+    for t in range(group.order):
+        tinv = group.inv[t]
+        conj = tuple(sorted(group.mul[group.mul[tinv][s]][t] for s in base))
+        if best is None or conj < best:
+            best = conj
+    assert best is not None
+    return best
+
+
+def decomposition_fingerprint(sys: FactorSystem, graph: CoreGraph) -> Fingerprint:
     """One (factor, stabilizer class) pair per piece of ``kurosh_decompose``
     and the length of its free basis."""
     decomp = kurosh_decompose(sys, graph)
     classes = sorted(
         (piece.lam, subgroup_conjugacy_key(sys.factors_g[piece.lam], piece.stabilizer)) for piece in decomp.pieces
     )
-    return KuroshInvariants(piece_classes=tuple(classes), free_rank=len(decomp.free_basis))
+    return Fingerprint(piece_classes=tuple(classes), free_rank=len(decomp.free_basis))
+
+
+def brute_force_double_cosets(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[tuple[int, ...]]:
+    """Orbits of the factor-lam action on the cosets of the complete graph.
+
+    Orbits are in bijection with the double cosets of the factor against the
+    subgroup; returned sorted by smallest vertex, so indices are canonical ids.
+    """
+    if not graph.complete:
+        raise GraphNotComplete("double-coset orbits need the full coset graph")
+    group = sys.factors_g[lam]
+    seen = set()
+    orbits = []
+    for start in range(graph.vertex_count):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        qi = 0
+        while qi < len(orbit):
+            u = orbit[qi]
+            qi += 1
+            for g in range(1, group.order):
+                v = graph.action[u][(lam, g)]
+                if v not in seen:
+                    seen.add(v)
+                    orbit.append(v)
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def exhaustive_intersection(sys: FactorSystem, graph: CoreGraph, lam: int, x: Word) -> set[Word]:
+    """The words x^-1 g x, g a nonidentity element of G_lam, that lie in
+    the subgroup of the complete graph."""
+    group = sys.factors_g[lam]
+    xinv = invert(sys, "G", x)
+    computed = set()
+    for g in range(1, group.order):
+        w = multiply(sys, "G", multiply(sys, "G", xinv, ((lam, g),)), x)
+        if membership(sys, graph, w):
+            computed.add(w)
+    return computed
 
 
 class LinearScanBuilder(covgraph._Builder):

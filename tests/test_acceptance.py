@@ -21,10 +21,9 @@ from freedecomp import (
 from freedecomp.cli import certificate_to_json, main
 from freedecomp.conjecture import Bounds, check_h_theta_surjective
 from freedecomp.freeprod import EMPTY, is_normal_form, parse_word
-from freedecomp.verify import brute_force_double_cosets
 
 from conftest import enumerate_ball
-from naive_enum import brute_force_members, rank_formula
+from naive_enum import brute_force_double_cosets, brute_force_members, rank_formula
 
 
 def _report(num, ok, details):

@@ -188,6 +188,35 @@ def test_large_tables_load_as_the_oracle_validates_them():
     assert [h.map for h in system.theta] == [tuple(range(400)), tuple(range(120))]
 
 
+def test_shorthand_groups_are_built_once(monkeypatch):
+    # cyclic and sym are cached, so loading a shorthand-only system again
+    # validates no table, while an explicit table is validated on every load
+    calls = []
+    validate = fingroup.validate_group
+
+    def counting(table, name="G"):
+        calls.append(name)
+        return validate(table, name)
+
+    monkeypatch.setattr(fingroup, "validate_group", counting)
+    monkeypatch.setattr(cli, "validate_group", counting)
+    shorthand = {
+        "factors_G": ["cyclic 6", "sym 4"],
+        "factors_B": ["cyclic 2", "cyclic 1"],
+        "theta": [[0, 1] * 3, [0] * 24],
+    }
+    first, _, _ = cli.load_system(shorthand)
+    calls.clear()
+    again, _, _ = cli.load_system(shorthand)
+    assert calls == []
+    assert again.factors_g[0] is first.factors_g[0] and again.factors_b[1] is first.factors_b[1]
+    explicit = {"factors_G": [[[0, 1], [1, 0]], "cyclic 3"]}
+    for _ in range(2):
+        calls.clear()
+        cli.load_system(explicit)
+        assert calls == ["G0"]
+
+
 def test_kurosh_sys_b(tmp_path, capsys):
     sys_file = write(tmp_path, "sys.json", SYS_B)
     out_file = str(tmp_path / "kurosh.json")

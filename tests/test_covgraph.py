@@ -333,7 +333,7 @@ def test_completion_that_stays_partial_raises(sys_a, sys_a_gens, monkeypatch):
     # an incomplete result is an error that survives python -O, not an assert
     to_graph = covgraph._Builder.to_graph
     monkeypatch.setattr(
-        covgraph._Builder, "to_graph", lambda self, gens: dataclasses.replace(to_graph(self, gens), complete=False)
+        covgraph._Builder, "to_graph", lambda self: dataclasses.replace(to_graph(self), complete=False)
     )
     with pytest.raises(GraphNotComplete, match="undefined action"):
         complete_graph(sys_a, build_core(sys_a, sys_a_gens), 100)
@@ -535,7 +535,7 @@ def test_complete_core_is_returned_as_is(corpus, monkeypatch):
     cores += [(inst.system, inst.graph) for inst in corpus[:60]]
     calls = []
     to_graph = covgraph._Builder.to_graph
-    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self, gens: calls.append(1) or to_graph(self, gens))
+    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self: calls.append(1) or to_graph(self))
     for sys, core in cores:
         assert complete_graph(sys, core, core.vertex_count) is core
         if core.vertex_count > 1:
@@ -567,7 +567,7 @@ def test_kurosh_command_reads_a_complete_core_once(tmp_path, monkeypatch):
     )
     calls = []
     to_graph = covgraph._Builder.to_graph
-    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self, gens: calls.append(1) or to_graph(self, gens))
+    monkeypatch.setattr(covgraph._Builder, "to_graph", lambda self: calls.append(1) or to_graph(self))
     assert cli.main(["kurosh", str(path), "-o", str(tmp_path / "k.json")]) == 0
     assert len(calls) == 1
     assert json.loads((tmp_path / "k.json").read_text())["free_rank"] == ps.free_rank

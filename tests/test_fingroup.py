@@ -16,7 +16,6 @@ from freedecomp.fingroup import (
     identity_hom,
     solve_preimage,
     subgroup_closure,
-    subgroup_conjugacy_key,
     sym,
     trivial_hom,
     validate_group,
@@ -24,7 +23,7 @@ from freedecomp.fingroup import (
 )
 
 from conftest import NONASSOC_LOOP, S3, Z2, Z3, Z4, relabel, sign_map, sign_map_s3
-from naive_enum import all_pairs_hom, cubic_associative
+from naive_enum import all_pairs_hom, cubic_associative, subgroup_conjugacy_key
 
 
 def test_validate_z2():

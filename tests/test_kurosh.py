@@ -6,16 +6,21 @@ from freedecomp import (
     complete_graph,
     invert,
     kurosh_decompose,
-    kurosh_invariants,
+    lambda_components,
     membership,
     multiply,
     spanning_data,
 )
 from freedecomp.freeprod import EMPTY, parse_word
-from freedecomp.verify import brute_force_double_cosets
 
 from conftest import z2z3_point_stabilizer
-from naive_enum import decomposition_fingerprint, rank_formula
+from naive_enum import (
+    Fingerprint,
+    brute_force_double_cosets,
+    decomposition_fingerprint,
+    rank_formula,
+    subgroup_conjugacy_key,
+)
 
 
 def w(sys, text):
@@ -181,14 +186,35 @@ def test_base_component_has_trivial_rep(corpus):
             assert base_stab == (EMPTY in lam_reps)
 
 
+def components_fingerprint(sys, graph):
+    """The fingerprint read off the lam-components: one (factor, stabilizer
+    class) pair per component with a nontrivial stabilizer, and the free
+    rank (k - 1) n - C + 1 for k factors, index n and C components, the
+    count the verifier's C7 compares with the free basis."""
+    classes = []
+    count = 0
+    for lam in range(sys.num_factors):
+        comps = lambda_components(sys, graph, lam)
+        count += len(comps)
+        classes.extend(
+            (lam, subgroup_conjugacy_key(sys.factors_g[lam], comp.stabilizer))
+            for comp in comps
+            if len(comp.stabilizer) > 1
+        )
+    rank = (sys.num_factors - 1) * graph.vertex_count - count + 1
+    return Fingerprint(piece_classes=tuple(sorted(classes)), free_rank=rank)
+
+
 def test_invariants_examples(sys_a, sys_a_gens, sys_b, sys_b_gens):
     ga = complete_canon(sys_a, sys_a_gens)
-    inv_a = kurosh_invariants(sys_a, ga)
+    inv_a = decomposition_fingerprint(sys_a, ga)
+    assert components_fingerprint(sys_a, ga) == inv_a
     assert len(inv_a.piece_classes) == 2
     assert inv_a.piece_classes[0] == inv_a.piece_classes[1]
     assert inv_a.free_rank == 0
     gb = complete_canon(sys_b, sys_b_gens)
-    inv_b = kurosh_invariants(sys_b, gb)
+    inv_b = decomposition_fingerprint(sys_b, gb)
+    assert components_fingerprint(sys_b, gb) == inv_b
     assert len(inv_b.piece_classes) == 3
     assert len(set(inv_b.piece_classes)) == 1
 
@@ -198,11 +224,11 @@ def test_graph_fingerprint_matches_decomposition_oracle(corpus):
     # the pieces and Schreier basis of kurosh_decompose, and on the scaling
     # family also the structure its action fixes
     for inst in corpus:
-        assert kurosh_invariants(inst.system, inst.graph) == decomposition_fingerprint(inst.system, inst.graph)
+        assert components_fingerprint(inst.system, inst.graph) == decomposition_fingerprint(inst.system, inst.graph)
     for n, seed in ((3, 1), (4, 2), (7, 1), (12, 3), (60, 1), (300, 2), (1200, 1)):
         ps = z2z3_point_stabilizer(n, seed)
         graph = complete_canon(ps.system, ps.gens, bound=n)
-        inv = kurosh_invariants(ps.system, graph)
-        assert inv == decomposition_fingerprint(ps.system, graph), (n, seed)
+        inv = decomposition_fingerprint(ps.system, graph)
+        assert components_fingerprint(ps.system, graph) == inv, (n, seed)
         orders = sorted((lam, len(key)) for lam, key in inv.piece_classes)
         assert tuple(orders) == ps.pieces and inv.free_rank == ps.free_rank, (n, seed)

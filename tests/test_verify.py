@@ -5,7 +5,6 @@ import pytest
 from freedecomp import (
     GraphNotComplete,
     ThetaNotSurjectiveOntoB,
-    brute_force_double_cosets,
     build_core,
     canonicalize,
     complete_graph,
@@ -17,11 +16,17 @@ from freedecomp import (
 )
 from freedecomp import covgraph
 from freedecomp.conjecture import Bounds, check_h_theta_surjective, decompose_and_check
+from freedecomp.covgraph import lambda_components
 from freedecomp.freeprod import EMPTY, parse_word, theta_word
 from freedecomp.verify import MalformedCertificate, check_certificate
 
 from conftest import TRIV, Z2, enumerate_ball, z2z3_point_stabilizer
-from naive_enum import brute_force_members, brute_force_membership
+from naive_enum import (
+    brute_force_double_cosets,
+    brute_force_members,
+    brute_force_membership,
+    exhaustive_intersection,
+)
 
 
 def w(sys, text):
@@ -62,7 +67,7 @@ def test_dropped_vertex_group_element_fails(sys_a, sys_a_gens, sys_a_cert):
     assert not report.verdict
     failed = {c.name.split()[0] for c in report.checks if c.status == "fail"}
     assert "C3" in failed
-    assert report.checks[-1].details == "needs C3 and C5"
+    assert report.checks[-1].details == "needs C3, C4 and C5"
 
 
 def test_wrong_system_rejected(sys_a, sys_a_gens, sys_b, sys_a_cert):
@@ -99,6 +104,34 @@ def test_double_cosets_sys_b(sys_b, sys_b_gens):
 def test_double_cosets_need_complete(sys_a):
     with pytest.raises(GraphNotComplete):
         brute_force_double_cosets(sys_a, build_core(sys_a, []), 0)
+
+
+def test_components_and_vertex_groups_match_the_exhaustive_oracles(corpus):
+    # C4 reads the double cosets off lambda_components, and C3 reads each
+    # vertex group off the stabilizer of the representative's vertex; both
+    # must agree with the walks they replaced
+    cases = [(inst.system, inst.gens) for inst in corpus]
+    cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (12, 60, 300))]
+    seen = 0
+    for sys, gens in cases:
+        try:
+            check_h_theta_surjective(sys, gens, 300)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        cert, report, graph = decompose_and_check(sys, gens, Bounds(max_cosets=300))
+        assert report.checks[2].name.startswith("C3 ") and report.checks[2].status == "pass"
+        for fc in cert.factors:
+            comps = lambda_components(sys, graph, fc.lam)
+            assert [comp.vertices for comp in comps] == brute_force_double_cosets(sys, graph, fc.lam)
+            for x, vg in zip(fc.reps, fc.vertex_groups):
+                assert set(vg) == exhaustive_intersection(sys, graph, fc.lam, x)
+                seen += 1
+    assert seen >= 200
+
+
+def test_check_certificate_needs_the_complete_graph(sys_a, sys_a_cert):
+    with pytest.raises(GraphNotComplete):
+        check_certificate(sys_a, build_core(sys_a, []), sys_a_cert)
 
 
 def test_brute_force_membership(sys_a, sys_a_gens):
