@@ -54,13 +54,7 @@ from .freeprod import (
     theta_word,
 )
 from .higgins import HigginsDecomposition, ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
-from .kurosh import (
-    KuroshDecomposition,
-    KuroshPiece,
-    SpanningData,
-    kurosh_decompose,
-    spanning_data,
-)
+from .kurosh import KuroshDecomposition, KuroshPiece, kurosh_decompose
 from .verify import (
     MalformedCertificate,
     VerificationReport,

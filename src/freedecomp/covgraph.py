@@ -31,10 +31,19 @@ from the base in canonical vertex order, so ``build_core`` and
 ``complete_graph`` return graphs equal to their own ``canonicalize``.
 ``canonicalize`` remains for graphs built by hand and for
 ``canonical_encoding``.
+
+A finished graph's lam-components are read by one breadth-first walk per
+factor, ``lambda_forest``, into flat per-vertex arrays (component index,
+coset label, and the spanning-tree edge that reached the vertex) and each
+component's root and root stabilizer, with no object per component.
+``kurosh_decompose`` and the verifier's checks C3, C4 and C7 read those
+arrays; ``lambda_components`` groups them into one ``LambdaComponent``
+per component.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -70,6 +79,13 @@ class CoreGraph:
     vertex_count: int
     action: tuple[dict, ...]
     complete: bool
+
+
+@functools.cache
+def _slots(lam: int, order: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """The (g, (lam, g)) pairs of the nonidentity elements g of an order-n
+    factor lam, built once and shared by every walk over its edge slots."""
+    return tuple((g, (lam, g)) for g in range(1, order))
 
 
 def _canonical_loop_label(group: FiniteGroup, g: int) -> int:
@@ -111,6 +127,30 @@ class LambdaComponent:
     coset_label: dict
     stabilizer: frozenset[int]
     tree: tuple[Edge, ...]
+
+
+@dataclass(frozen=True)
+class LambdaForest:
+    """The lam-components of a graph as flat per-vertex arrays.
+
+    ``order`` lists every vertex, component by component and each
+    component in breadth-first order from its root.  For a vertex v,
+    ``component[v]`` indexes ``roots`` and ``stabilizers``, ``label[v]`` is
+    the coset label a_v (S a_root * a_v is v's coset over the root's
+    stabilizer S, a_root = identity), and the spanning-tree edge
+    (parent[v], lam, via[v], v) reached v, so a_v = a_parent * via[v]; at
+    a root ``via`` is 0 and ``parent`` the root itself.
+    ``stabilizers[c]`` is the root stabilizer of component c, sorted, the
+    identity first.
+    """
+
+    order: list[int]
+    component: list[int]
+    label: list[int]
+    parent: list[int]
+    via: list[int]
+    roots: list[int]
+    stabilizers: list[tuple[int, ...]]
 
 
 class _Builder:
@@ -200,7 +240,7 @@ class _Builder:
     def _saturate(self, lam: int, root: int) -> None:
         group = self.groups[lam]
         mul, inv = group.mul, group.inv
-        adj, find = self.adj, self.find
+        adj, parent, find, slots = self.adj, self.parent, self.find, _slots(lam, group.order)
         # one BFS over the lam-edges labels the component with cosets and
         # reads a stabilizer generator off every edge that closes a cycle
         label = {root: 0}
@@ -211,12 +251,12 @@ class _Builder:
             u = comp[qi]
             qi += 1
             adj_u, row = adj[u], mul[label[u]]
-            for g in range(1, group.order):
-                w = adj_u.get((lam, g))
+            for g, key in slots:
+                w = adj_u.get(key)
                 if w is None:
                     continue
-                w = find(w)
-                adj_u[(lam, g)] = w
+                if parent[w] != w:
+                    w = adj_u[key] = find(w)
                 lw = label.get(w)
                 if lw is None:
                     label[w] = row[g]
@@ -235,28 +275,26 @@ class _Builder:
                         coset[mul[s][x]] = x
         else:
             coset = range(group.order)  # trivial stabilizer: each element is its own coset
-        # merge vertices whose cosets coincide
-        buckets: dict = {}
-        for u in comp:
-            buckets.setdefault(coset[label[u]], []).append(u)
-        merged = False
-        for key in sorted(buckets):
-            group_vs = buckets[key]
-            if len(group_vs) > 1:
-                first = min(group_vs)
-                for other in group_vs:
-                    if other != first:
-                        self.pending.append((first, other))
-                merged = True
-        if merged:
+        at = {coset[label[u]]: u for u in comp}
+        if len(at) < len(comp):
+            # merge vertices whose cosets coincide, buckets in coset order
+            buckets: dict = {}
+            for u in comp:
+                buckets.setdefault(coset[label[u]], []).append(u)
+            for key in sorted(buckets):
+                group_vs = buckets[key]
+                if len(group_vs) > 1:
+                    first = min(group_vs)
+                    for other in group_vs:
+                        if other != first:
+                            self.pending.append((first, other))
             return  # refold first; the component stays dirty
         # fill every empty slot whose target coset is present; the cosets are
         # distinct, so each filled slot gets its one induced edge
-        at = {key: vs[0] for key, vs in buckets.items()}
         for u in comp:
             adj_u, row = adj[u], mul[label[u]]
-            for g in range(1, group.order):
-                if (lam, g) not in adj_u:
+            for g, key in slots:
+                if key not in adj_u:
                     v = at.get(coset[row[g]])
                     if v is not None:
                         self.add_edge(u, lam, g, v)
@@ -294,7 +332,7 @@ class _Builder:
         folding derives anyway, and folding and saturating it gives the
         same graph as the wedge, up to vertex numbering.
         """
-        adj, find, groups = self.adj, self.find, self.groups
+        adj, parent, find, groups = self.adj, self.parent, self.find, self.groups
         base = find(0)
         n = len(word)
         f, i = base, 0
@@ -302,14 +340,14 @@ class _Builder:
             w = adj[f].get(word[i])
             if w is None:
                 break
-            f, i = find(w), i + 1
+            f, i = w if parent[w] == w else find(w), i + 1
         b, j = base, n
         while j > i:
             lam, g = word[j - 1]
             w = adj[b].get((lam, groups[lam].inv[g]))
             if w is None:
                 break
-            b, j = find(w), j - 1
+            b, j = w if parent[w] == w else find(w), j - 1
         if j == i:
             if f != b:
                 self.pending.append((f, b))
@@ -425,46 +463,83 @@ def membership(sys: FactorSystem, graph: CoreGraph, w: Word) -> bool:
     return trace(graph, w) == 0
 
 
-def lambda_components(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[LambdaComponent]:
-    """Partition of all vertices into lam-edge components.
+def lambda_forest(sys: FactorSystem, graph: CoreGraph, lam: int) -> LambdaForest:
+    """The lam-components of all vertices, walked once into flat arrays.
 
-    Vertices without lam-edges become singleton components with trivial
-    stabilizer.  Each component is walked once, breadth-first from its
-    smallest vertex (its root), and components come by root, so the one of
-    the base vertex 0 is first.
+    Components come by root, the smallest vertex of each, so the one of the
+    base vertex 0 is first; each is walked breadth-first from its root,
+    taking the edges of a vertex in increasing g.  Vertices without
+    lam-edges become singleton components with trivial stabilizer.
     """
     group = sys.factors_g[lam]
     mul = group.mul
-    label: dict = {}
-    comps = []
-    for root in range(graph.vertex_count):
-        if root in label:
+    slots = _slots(lam, group.order)
+    action = graph.action
+    n = graph.vertex_count
+    component = [-1] * n
+    label = [0] * n
+    parent = list(range(n))
+    via = [0] * n
+    order: list[int] = []
+    roots: list[int] = []
+    stabilizers: list[tuple[int, ...]] = []
+    for root in range(n):
+        if component[root] >= 0:
             continue
-        label[root] = 0
-        comp = [root]
-        tree = []
-        qi = 0
-        while qi < len(comp):
-            u = comp[qi]
+        c = len(roots)
+        roots.append(root)
+        component[root] = c
+        qi = len(order)
+        order.append(root)
+        stab: tuple[int, ...] = (0,)
+        while qi < len(order):
+            u = order[qi]
             qi += 1
-            for g in range(1, group.order):
-                v = graph.action[u].get((lam, g))
-                if v is not None and v not in label:
-                    label[v] = mul[label[u]][g]
-                    comp.append(v)
-                    tree.append((u, lam, g, v))
-        stab = frozenset({0} | {g for g in range(1, group.order) if graph.action[root].get((lam, g)) == root})
-        comps.append(
-            LambdaComponent(
-                lam=lam,
-                vertices=tuple(sorted(comp)),
-                root=root,
-                coset_label={v: label[v] for v in comp},
-                stabilizer=stab,
-                tree=tuple(tree),
-            )
+            act_u, row = action[u], mul[label[u]]
+            for g, key in slots:
+                v = act_u.get(key)
+                if v is None:
+                    continue
+                if component[v] < 0:
+                    component[v] = c
+                    label[v] = row[g]
+                    parent[v] = u
+                    via[v] = g
+                    order.append(v)
+                elif v == u == root:
+                    stab += (g,)
+        stabilizers.append(stab)
+    return LambdaForest(
+        order=order,
+        component=component,
+        label=label,
+        parent=parent,
+        via=via,
+        roots=roots,
+        stabilizers=stabilizers,
+    )
+
+
+def lambda_components(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[LambdaComponent]:
+    """The components of ``lambda_forest``, one object each, by root."""
+    forest = lambda_forest(sys, graph, lam)
+    walks: list[list[int]] = []
+    for v in forest.order:
+        if forest.via[v]:
+            walks[-1].append(v)
+        else:
+            walks.append([v])
+    return [
+        LambdaComponent(
+            lam=lam,
+            vertices=tuple(sorted(walk)),
+            root=walk[0],
+            coset_label={v: forest.label[v] for v in walk},
+            stabilizer=frozenset(stab),
+            tree=tuple((forest.parent[v], lam, forest.via[v], v) for v in walk[1:]),
         )
-    return comps
+        for walk, stab in zip(walks, forest.stabilizers)
+    ]
 
 
 def _bfs_order(graph: CoreGraph) -> list[int]:

@@ -1,32 +1,26 @@
 """Free-product decomposition of a subgroup read off its graph.
 
-From a folded saturated graph this extracts, per factor component, a
+Each factor's lam-components are walked once (``lambda_forest``), which
+gives every component its root, root stabilizer and breadth-first
+spanning tree.  One breadth-first walk from the base over the union of
+those trees, taking a vertex's edges in (lam, g) order, gives a global
+spanning tree and the transversal word p_v of every vertex, and marks the
+component-tree edges it uses.  Per factor component this extracts a
 vertex-group piece (the component stabilizer conjugated back to the base
-vertex by the spanning-tree transversal) and a free basis of Schreier
-elements, one per component-tree edge missing from the global tree.
+vertex by the transversal) and a free basis of Schreier elements, one per
+component-tree edge the global tree does not use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, Edge, LambdaComponent, lambda_components
-from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
+from .covgraph import CoreGraph, lambda_forest
+from .freeprod import EMPTY, FactorSystem, Word, invert, multiply
 
 
 class DisconnectedUnion(RuntimeError):
     """The union of component trees failed to span the graph (internal bug)."""
-
-
-@dataclass(frozen=True)
-class SpanningData:
-    """The lam-components with their spanning trees, a global tree inside
-    the union of those trees, and the transversal words read along the
-    global tree from the base."""
-
-    components: tuple[LambdaComponent, ...]
-    global_tree: tuple[Edge, ...]
-    transversal: tuple[Word, ...]
 
 
 @dataclass(frozen=True)
@@ -44,48 +38,6 @@ class KuroshDecomposition:
     free_rank: int
 
 
-def _canonical_edge(sys: FactorSystem, edge: Edge) -> Edge:
-    u, lam, g, v = edge
-    if u > v:
-        return (v, lam, sys.factors_g[lam].inv[g], u)
-    return edge
-
-
-def spanning_data(sys: FactorSystem, graph: CoreGraph) -> SpanningData:
-    comps = [comp for lam in range(sys.num_factors) for comp in lambda_components(sys, graph, lam)]
-
-    # global tree: BFS from base over the union of the component trees
-    nbrs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(graph.vertex_count)}
-    for comp in comps:
-        for u, lam, g, v in comp.tree:
-            nbrs[u].append((lam, g, v))
-            nbrs[v].append((lam, sys.factors_g[lam].inv[g], u))
-    for v in nbrs:
-        nbrs[v].sort()
-
-    transversal: list[Word | None] = [None] * graph.vertex_count
-    transversal[0] = EMPTY
-    global_tree: list[Edge] = []
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for lam, g, v in nbrs[u]:
-            if transversal[v] is None:
-                transversal[v] = multiply(sys, "G", transversal[u], ((lam, g),))
-                global_tree.append((u, lam, g, v))
-                queue.append(v)
-    if any(t is None for t in transversal):
-        raise DisconnectedUnion("component-tree union does not span the graph")
-
-    return SpanningData(
-        components=tuple(comps),
-        global_tree=tuple(global_tree),
-        transversal=tuple(transversal),  # type: ignore[arg-type]
-    )
-
-
 def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition:
     """Vertex-group pieces and a free basis for the subgroup of the graph.
 
@@ -93,45 +45,58 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
     p_N S p_N^-1 = H cap G_lam^x at the representative x = p_N^-1, where
     p_N is the transversal word and conjugation reads K^x = x^-1 K x;
     components with trivial stabilizer are omitted.  The free basis
-    collects the Schreier words of component-tree edges outside the
-    global tree.
+    collects the Schreier words p_u g p_v^-1 of the component-tree edges
+    (u, lam, g, v) outside the global tree.
     """
-    data = spanning_data(sys, graph)
-    p = data.transversal
+    groups = sys.factors_g
+    k, n = sys.num_factors, graph.vertex_count
+    forests = [lambda_forest(sys, graph, lam) for lam in range(k)]
+    parents = [f.parent for f in forests]
+    vias = [f.via for f in forests]
+
+    # global tree: breadth-first from the base over the component-tree
+    # edges; in_tree[lam][v] marks the lam-tree edge that reached v
+    p: list[Word | None] = [None] * n
+    p[0] = EMPTY
+    in_tree = [[False] * n for _ in range(k)]
+    queue = [0]
+    for u in queue:  # grows while the walk discovers vertices
+        p_u = p[u]
+        for (lam, g), v in sorted(graph.action[u].items()):
+            if p[v] is not None:
+                continue
+            if parents[lam][v] == u and vias[lam][v] == g:
+                in_tree[lam][v] = True
+            elif parents[lam][u] == v and vias[lam][u] == groups[lam].inv[g]:
+                in_tree[lam][u] = True
+            else:
+                continue
+            p[v] = multiply(sys, "G", p_u, ((lam, g),))
+            queue.append(v)
+    if len(queue) != n:
+        raise DisconnectedUnion("component-tree union does not span the graph")
 
     pieces = []
-    for comp in data.components:
-        if len(comp.stabilizer) == 1:
-            continue
-        p_root = p[comp.root]
-        rep = invert(sys, "G", p_root)
-        vg = tuple(
-            multiply(sys, "G", multiply(sys, "G", p_root, syllable_word(comp.lam, s)), invert(sys, "G", p_root))
-            for s in sorted(comp.stabilizer)
-            if s != 0
-        )
-        pieces.append(
-            KuroshPiece(
-                lam=comp.lam,
-                rep=rep,
-                stabilizer=tuple(sorted(comp.stabilizer)),
-                vertex_group_gens=vg,
-            )
-        )
-
-    tau = {_canonical_edge(sys, e) for e in data.global_tree}
-    basis = []
-    for comp in data.components:
-        for edge in comp.tree:
-            if _canonical_edge(sys, edge) in tau:
+    for lam, forest in enumerate(forests):
+        for root, stab in zip(forest.roots, forest.stabilizers):
+            if len(stab) == 1:
                 continue
-            u, lam, g, v = edge
-            w = multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[v]))
-            basis.append(w)
+            p_root = p[root]
+            p_inv = invert(sys, "G", p_root)
+            vg = tuple(multiply(sys, "G", multiply(sys, "G", p_root, ((lam, s),)), p_inv) for s in stab[1:])
+            pieces.append(KuroshPiece(lam=lam, rep=p_inv, stabilizer=stab, vertex_group_gens=vg))
+
+    basis = []
+    for lam, forest in enumerate(forests):
+        parent, via, used = forest.parent, forest.via, in_tree[lam]
+        for v in forest.order:
+            g = via[v]
+            if g and not used[v]:
+                w = multiply(sys, "G", p[parent[v]], ((lam, g),))
+                basis.append(multiply(sys, "G", w, invert(sys, "G", p[v])))
 
     return KuroshDecomposition(
         pieces=tuple(pieces),
         free_basis=tuple(basis),
         free_rank=len(basis),
     )
-

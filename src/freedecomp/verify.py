@@ -60,10 +60,10 @@ from .covgraph import (
     CoreGraph,
     GraphNotComplete,
     IndexBoundExceeded,
-    LambdaComponent,
+    LambdaForest,
     build_core,
     complete_graph,
-    lambda_components,
+    lambda_forest,
     membership,
     trace,
 )
@@ -108,7 +108,7 @@ def _structural_validation(sys: FactorSystem, cert: "ConjectureCertificate") -> 
     if len(cert.factors) != sys.num_factors:
         raise MalformedCertificate("certificate factor count mismatch")
     for i, fc in enumerate(cert.factors):
-        if fc.lam != i:
+        if not isinstance(fc.lam, int) or isinstance(fc.lam, bool) or fc.lam != i:
             raise MalformedCertificate(f"factor entry {i} labeled {fc.lam}")
         n = len(fc.beta_primes)
         if not (len(fc.g_corrections) == len(fc.reps) == len(fc.vertex_groups) == n):
@@ -205,7 +205,7 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
 
     # C3 walks each factor's lam-components once and finds the component
     # of every representative's vertex; C4 and C7 read the walk
-    components: dict[int, list[LambdaComponent]] = {}
+    forests: dict[int, LambdaForest] = {}
     rep_components: dict[int, list[int]] = {}
 
     def c3():
@@ -213,20 +213,18 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
         for fc in cert.factors:
             group = sys.factors_g[fc.lam]
             mul, inv = group.mul, group.inv
-            comps = components[fc.lam] = lambda_components(sys, graph, fc.lam)
-            at = {v: i for i, comp in enumerate(comps) for v in comp.vertices}
+            forest = forests[fc.lam] = lambda_forest(sys, graph, fc.lam)
             found = rep_components[fc.lam] = []
             for mu, (x, vg) in enumerate(zip(fc.reps, fc.vertex_groups)):
                 xinv = invert(sys, "G", x)
                 v = trace(graph, xinv)
-                found.append(at[v])
-                comp = comps[at[v]]
+                c = forest.component[v]
+                found.append(c)
                 # Stab(v) = a^-1 S a for the root's stabilizer S and v = root a
-                a = comp.coset_label[v]
+                a = forest.label[v]
                 computed = {
                     multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, mul[mul[inv[a]][s]][a]),)), x)
-                    for s in comp.stabilizer
-                    if s
+                    for s in forest.stabilizers[c][1:]
                 }
                 if computed != set(vg):
                     bad.append(f"factor {fc.lam} piece {mu}: vertex group differs from exhaustive intersection")
@@ -235,13 +233,13 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
     def c4():
         bad = []
         for fc in cert.factors:
-            comps, found = components[fc.lam], rep_components[fc.lam]
+            stabilizers, found = forests[fc.lam].stabilizers, rep_components[fc.lam]
             if len(set(found)) != len(found):
                 bad.append(f"factor {fc.lam}: two representatives share a double coset")
-            nontrivial = {i for i, comp in enumerate(comps) if len(comp.stabilizer) > 1}
+            nontrivial = {c for c, stab in enumerate(stabilizers) if len(stab) > 1}
             if set(found) != nontrivial:
                 bad.append(f"factor {fc.lam}: representatives do not match the nontrivial double cosets")
-            if len(comps[0].stabilizer) > 1 and EMPTY not in fc.reps:
+            if len(stabilizers[0]) > 1 and EMPTY not in fc.reps:
                 bad.append(f"factor {fc.lam}: trivial representative missing")
         return (not bad, "; ".join(bad[:3]))
 
@@ -261,7 +259,7 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
         if not {"C3", "C4", "C5"} <= passed:
             return False, "needs C3, C4 and C5"
         rank = sum(len(fc.f_basis) for fc in cert.factors)
-        count = sum(len(comps) for comps in components.values())
+        count = sum(len(forest.roots) for forest in forests.values())
         free_rank = (sys.num_factors - 1) * graph.vertex_count - count + 1
         if rank != free_rank:
             return False, f"{rank} free-basis words for free rank {free_rank}"

@@ -212,12 +212,12 @@ def z2z3_point_stabilizer(n: int, seed: int = 1, fixed: tuple[int, int] | None =
         if len(order) == n:
             break
     system = make_system([Z2, Z3], [Z2, TRIV], [[0, 1], [0, 0, 0]])
-    gens = []
+    gens = {}  # a dict keeps the first occurrence of each generator, in order
     for u in order:
         for syl, perm in moves.items():
             s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
-            if s and s not in gens:
-                gens.append(s)
+            if s:
+                gens.setdefault(s)
     pieces = ((0, 2),) * f2 + ((1, 3),) * f3
     rank = Fraction(1) - Fraction(f2, 2) - Fraction(2 * f3, 3) + Fraction(n, 6)
     assert rank.denominator == 1

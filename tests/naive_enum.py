@@ -26,18 +26,25 @@ and the stabilizer closure and coset table built even when there is no
 generator.
 ``cubic_associative`` and ``all_pairs_hom`` are the exhaustive group-table
 checks that Light's test and the law on generators replaced in
-``fingroup``.
+``fingroup``.  ``object_lambda_components`` walks each lam-component into
+its own ``LambdaComponent``, as ``lambda_components`` did before the
+single ``lambda_forest`` walk, and ``spanning_data`` with
+``spanning_kurosh_decompose`` is ``kurosh_decompose`` before it read the
+forests: a global tree by breadth-first search over per-vertex neighbour
+lists of the component trees, and a free basis of the component-tree
+edges whose canonical form the global tree lacks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from freedecomp import covgraph
-from freedecomp.covgraph import CoreGraph, GraphNotComplete, lambda_components, membership
+from freedecomp.covgraph import CoreGraph, Edge, GraphNotComplete, LambdaComponent, lambda_components, membership
 from freedecomp.fingroup import FiniteGroup, subgroup_closure
-from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply
-from freedecomp.kurosh import kurosh_decompose
+from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
+from freedecomp.kurosh import DisconnectedUnion, KuroshDecomposition, KuroshPiece, kurosh_decompose
 
 
 class EnumerationOverflow(Exception):
@@ -340,6 +347,140 @@ def exhaustive_intersection(sys: FactorSystem, graph: CoreGraph, lam: int, x: Wo
         if membership(sys, graph, w):
             computed.add(w)
     return computed
+
+
+def object_lambda_components(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[LambdaComponent]:
+    """Partition of all vertices into lam-edge components, each walked
+    breadth-first from its smallest vertex into its own object."""
+    group = sys.factors_g[lam]
+    mul = group.mul
+    label: dict = {}
+    comps = []
+    for root in range(graph.vertex_count):
+        if root in label:
+            continue
+        label[root] = 0
+        comp = [root]
+        tree = []
+        qi = 0
+        while qi < len(comp):
+            u = comp[qi]
+            qi += 1
+            for g in range(1, group.order):
+                v = graph.action[u].get((lam, g))
+                if v is not None and v not in label:
+                    label[v] = mul[label[u]][g]
+                    comp.append(v)
+                    tree.append((u, lam, g, v))
+        stab = frozenset({0} | {g for g in range(1, group.order) if graph.action[root].get((lam, g)) == root})
+        comps.append(
+            LambdaComponent(
+                lam=lam,
+                vertices=tuple(sorted(comp)),
+                root=root,
+                coset_label={v: label[v] for v in comp},
+                stabilizer=stab,
+                tree=tuple(tree),
+            )
+        )
+    return comps
+
+
+@dataclass(frozen=True)
+class SpanningData:
+    """The lam-components with their spanning trees, a global tree inside
+    the union of those trees, and the transversal words read along the
+    global tree from the base."""
+
+    components: tuple[LambdaComponent, ...]
+    global_tree: tuple[Edge, ...]
+    transversal: tuple[Word, ...]
+
+
+def _canonical_edge(sys: FactorSystem, edge: Edge) -> Edge:
+    u, lam, g, v = edge
+    if u > v:
+        return (v, lam, sys.factors_g[lam].inv[g], u)
+    return edge
+
+
+def spanning_data(sys: FactorSystem, graph: CoreGraph) -> SpanningData:
+    comps = [comp for lam in range(sys.num_factors) for comp in object_lambda_components(sys, graph, lam)]
+
+    # global tree: BFS from base over the union of the component trees
+    nbrs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(graph.vertex_count)}
+    for comp in comps:
+        for u, lam, g, v in comp.tree:
+            nbrs[u].append((lam, g, v))
+            nbrs[v].append((lam, sys.factors_g[lam].inv[g], u))
+    for v in nbrs:
+        nbrs[v].sort()
+
+    transversal: list[Word | None] = [None] * graph.vertex_count
+    transversal[0] = EMPTY
+    global_tree: list[Edge] = []
+    queue = [0]
+    qi = 0
+    while qi < len(queue):
+        u = queue[qi]
+        qi += 1
+        for lam, g, v in nbrs[u]:
+            if transversal[v] is None:
+                transversal[v] = multiply(sys, "G", transversal[u], ((lam, g),))
+                global_tree.append((u, lam, g, v))
+                queue.append(v)
+    if any(t is None for t in transversal):
+        raise DisconnectedUnion("component-tree union does not span the graph")
+
+    return SpanningData(
+        components=tuple(comps),
+        global_tree=tuple(global_tree),
+        transversal=tuple(transversal),  # type: ignore[arg-type]
+    )
+
+
+def spanning_kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition:
+    """Pieces p_N S p_N^-1 at x = p_N^-1 per component with nontrivial
+    stabilizer, and the Schreier words of component-tree edges outside the
+    global tree, read off ``spanning_data``."""
+    data = spanning_data(sys, graph)
+    p = data.transversal
+
+    pieces = []
+    for comp in data.components:
+        if len(comp.stabilizer) == 1:
+            continue
+        p_root = p[comp.root]
+        rep = invert(sys, "G", p_root)
+        vg = tuple(
+            multiply(sys, "G", multiply(sys, "G", p_root, syllable_word(comp.lam, s)), invert(sys, "G", p_root))
+            for s in sorted(comp.stabilizer)
+            if s != 0
+        )
+        pieces.append(
+            KuroshPiece(
+                lam=comp.lam,
+                rep=rep,
+                stabilizer=tuple(sorted(comp.stabilizer)),
+                vertex_group_gens=vg,
+            )
+        )
+
+    tau = {_canonical_edge(sys, e) for e in data.global_tree}
+    basis = []
+    for comp in data.components:
+        for edge in comp.tree:
+            if _canonical_edge(sys, edge) in tau:
+                continue
+            u, lam, g, v = edge
+            w = multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[v]))
+            basis.append(w)
+
+    return KuroshDecomposition(
+        pieces=tuple(pieces),
+        free_basis=tuple(basis),
+        free_rank=len(basis),
+    )
 
 
 class LinearScanBuilder(covgraph._Builder):

@@ -540,6 +540,20 @@ def test_malformed_certificate_word_is_invalid_input(tmp_path, capsys, path, val
     assert "invalid input: expected a list of word strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index, lam", [(0, 0.0), (1, 1.0), (1, True), (0, "0")])
+def test_non_integer_factor_label_is_invalid_input(tmp_path, capsys, index, lam):
+    # 0.0 == 0 and True == 1, but only an int labels a factor
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    cert["factors"][index]["lam"] = lam
+    bad_file = write(tmp_path, "bad.json", cert)
+    capsys.readouterr()
+    assert main(["verify", sys_file, bad_file]) == 3
+    assert capsys.readouterr().err == f"invalid input: factor entry {index} labeled {lam}\n"
+
+
 def _set_path(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]

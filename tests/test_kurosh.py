@@ -1,24 +1,35 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 from freedecomp import (
     build_core,
     canonicalize,
     complete_graph,
+    cyclic,
+    format_word,
     invert,
     kurosh_decompose,
     lambda_components,
+    make_system,
     membership,
     multiply,
-    spanning_data,
+    normalize,
+    sym,
 )
+from freedecomp.covgraph import CoreGraph
 from freedecomp.freeprod import EMPTY, parse_word
 
-from conftest import z2z3_point_stabilizer
+from conftest import Z2, sign_map, z2z3_point_stabilizer
 from naive_enum import (
     Fingerprint,
     brute_force_double_cosets,
     decomposition_fingerprint,
+    object_lambda_components,
     rank_formula,
+    spanning_data,
+    spanning_kurosh_decompose,
     subgroup_conjugacy_key,
 )
 
@@ -127,6 +138,19 @@ def test_kurosh_at_index_1200():
     assert chi_h == 1200 * (Fraction(1, 2) + Fraction(1, 3) - 1)
 
 
+def test_scaling_family_generators_at_index_1200():
+    # the fixture must keep the first occurrence of each Schreier generator,
+    # in order, as deduplicating by a list lookup does; the digests pin that
+    # list
+    for kwargs, count, digest in (
+        ({}, 438, "67a39e51ab61101cee70d4e552b9d188ba2183ac0b3664aa05b3b8ba92421f97"),
+        ({"seed": 2, "fixed": (2, 3)}, 436, "fe68a344ec499df3344869aceba51149b0ec6304eec17b4b5bfca350af74aaba"),
+    ):
+        gens = z2z3_point_stabilizer(1200, **kwargs).gens
+        assert len(gens) == len(set(gens)) == count
+        assert hashlib.sha256("|".join(map(format_word, gens)).encode()).hexdigest() == digest
+
+
 def test_free_rank_formula(corpus):
     for inst in corpus[:40]:
         kd = kurosh_decompose(inst.system, inst.graph)
@@ -232,3 +256,109 @@ def test_graph_fingerprint_matches_decomposition_oracle(corpus):
         assert components_fingerprint(ps.system, graph) == inv, (n, seed)
         orders = sorted((lam, len(key)) for lam, key in inv.piece_classes)
         assert tuple(orders) == ps.pieces and inv.free_rank == ps.free_rank, (n, seed)
+
+
+def s5z2_point_stabilizer(seed: int):
+    """A system of the shape of the benchmark's S5*Z2 rung: S5 * Z2 onto
+    Z2 * Z2 by (sign, identity), and H the stabiliser of point 0 when S5
+    acts naturally on 5 points and Z2 by a random involution with one
+    fixed point.  H is given by its Schreier generators over a
+    breadth-first tree, for a transposition, a 5-cycle and a random
+    element of S5 and the involution."""
+    rnd = random.Random(seed)
+    perms = sorted(itertools.permutations(range(5)))  # sym(5)'s element order
+    s5 = [perms.index((1, 0, 2, 3, 4)), perms.index((1, 2, 3, 4, 0)), rnd.randrange(1, 120)]
+    pts = rnd.sample(range(5), 5)
+    flip = list(range(5))
+    for i in (1, 3):
+        flip[pts[i]], flip[pts[i + 1]] = pts[i + 1], pts[i]
+    moves = {(0, e): perms[e] for e in s5}
+    moves[(1, 1)] = flip
+    system = make_system([sym(5), Z2], [Z2, Z2], [sign_map(5), [0, 1]])
+    word = {0: ()}
+    order = [0]
+    for u in order:  # grows while the walk discovers points
+        for syl, perm in moves.items():
+            if perm[u] not in word:
+                word[perm[u]] = normalize(system, "G", word[u] + (syl,))
+                order.append(perm[u])
+    gens = {}
+    for u in order:
+        for syl, perm in moves.items():
+            s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+            if s:
+                gens.setdefault(s)
+    return system, tuple(gens)
+
+
+def renumbered(graph: CoreGraph, rnd: random.Random) -> CoreGraph:
+    """The graph with its vertices other than the base renumbered at
+    random and each vertex's entries in random order."""
+    perm = [0] + rnd.sample(range(1, graph.vertex_count), graph.vertex_count - 1)
+    action = [{}] * graph.vertex_count
+    for v, entries in enumerate(graph.action):
+        items = [(key, perm[w]) for key, w in entries.items()]
+        rnd.shuffle(items)
+        action[perm[v]] = dict(items)
+    return CoreGraph(vertex_count=graph.vertex_count, action=tuple(action), complete=graph.complete)
+
+
+def oracle_systems(corpus):
+    """(system, graph) pairs for the oracle tests: the test corpus's
+    complete graphs and cores, also renumbered, the scaling family, and
+    S5*Z2 systems."""
+    rnd = random.Random(7)
+    for inst in corpus:
+        core = build_core(inst.system, inst.gens)
+        for graph in (inst.graph, core, renumbered(inst.graph, rnd), renumbered(core, rnd)):
+            yield inst.system, graph
+    for n in (12, 60, 300, 1200):
+        ps = z2z3_point_stabilizer(n)
+        yield ps.system, complete_graph(ps.system, build_core(ps.system, ps.gens), n)
+    for seed in range(1, 7):
+        system, gens = s5z2_point_stabilizer(seed)
+        core = build_core(system, gens)
+        yield system, core
+        yield system, complete_graph(system, core, 5)
+
+
+def test_kurosh_matches_spanning_oracle(corpus):
+    # the forest read-off gives the pieces and free basis, in order, of the
+    # neighbour-list global tree with its canonical-edge set
+    for system, graph in oracle_systems(corpus):
+        assert kurosh_decompose(system, graph) == spanning_kurosh_decompose(system, graph)
+
+
+def test_kurosh_climbs_to_a_tree_parent_by_its_tree_label():
+    # Z4's component {1, 2} has stabilizer {0, 2}, so both 1 and 3 lead
+    # from 2 back to its tree parent 1 = 2*3; the walk enters the component
+    # at 2 and must leave it by the tree edge's label 3
+    system = make_system([cyclic(4), Z2], [cyclic(4), Z2], [[0, 1, 2, 3], [0, 1]])
+    action = (
+        {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 1): 2},
+        {(0, 1): 2, (0, 2): 1, (0, 3): 2, (1, 1): 1},
+        {(0, 1): 1, (0, 2): 2, (0, 3): 1, (1, 1): 0},
+    )
+    graph = CoreGraph(vertex_count=3, action=action, complete=True)
+    kd = kurosh_decompose(system, graph)
+    assert kd == spanning_kurosh_decompose(system, graph)
+    assert [p.rep for p in kd.pieces] == [EMPTY, w(system, "0:1 1:1"), w(system, "0:1 1:1")]
+
+
+def test_lambda_components_match_object_walk(corpus):
+    # every field, including the tree edges' order and the label of each vertex
+    for system, graph in oracle_systems(corpus):
+        for lam in range(system.num_factors):
+            assert lambda_components(system, graph, lam) == object_lambda_components(system, graph, lam)
+
+
+def test_s5z2_systems_have_the_constructed_index():
+    for seed in range(1, 7):
+        system, gens = s5z2_point_stabilizer(seed)
+        graph = complete_graph(system, build_core(system, gens), 5)
+        assert graph.vertex_count == 5
+        kd = kurosh_decompose(system, graph)
+        # S5's point stabiliser S4 and the involution's fixed point; chi(H) = 5 chi(G)
+        assert sorted((p.lam, len(p.stabilizer)) for p in kd.pieces) == [(0, 24), (1, 2)]
+        chi_h = sum(Fraction(1, len(p.stabilizer)) - 1 for p in kd.pieces) + 1 - kd.free_rank
+        assert chi_h == 5 * (Fraction(1, 120) + Fraction(1, 2) - 1)
