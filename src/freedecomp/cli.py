@@ -158,7 +158,6 @@ def _write_all(outputs) -> None:
 def certificate_to_json(cert: ConjectureCertificate) -> dict:
     return {
         "system_hash": cert.system_hash,
-        "h_generators": [format_word(w) for w in cert.h_generators],
         "factors": [
             {
                 "lam": fc.lam,
@@ -197,7 +196,6 @@ def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertifi
         )
         return ConjectureCertificate(
             system_hash=data["system_hash"],
-            h_generators=words(data["h_generators"]),
             factors=factors,
             tree_transversal=words(data["tree_transversal"]),
         )

@@ -5,8 +5,9 @@ transversal, split H into per-factor subgroups H_lam, decompose each H_lam
 into vertex-group pieces plus a free part, then correct each piece
 representative beta' by a factor element g with equal image so that
 x = g^-1 beta' dies in B while conjugating the factor identically.  The
-result is a certificate carrying every intermediate object, which the
-verify module re-checks from scratch.
+result is a certificate carrying the claim (representatives, vertex groups
+and free bases) with the transversal and the corrections that led to it,
+which the verify module re-checks from scratch.
 
 The transversal choice is a heuristic.  Each candidate certificate is
 gated by the verifier's own checks C1-C7 on the already-built coset graph,
@@ -71,7 +72,6 @@ class FactorCertificate:
 @dataclass(frozen=True)
 class ConjectureCertificate:
     system_hash: str
-    h_generators: tuple[Word, ...]
     factors: tuple[FactorCertificate, ...]
     tree_transversal: tuple[Word, ...]
 
@@ -199,14 +199,8 @@ def _assemble(
             )
         )
 
-    all_words: list[Word] = []
-    for fc in factor_certs:
-        for vg in fc.vertex_groups:
-            all_words.extend(vg)
-        all_words.extend(fc.f_basis)
     cert = ConjectureCertificate(
         system_hash=system_hash(sys),
-        h_generators=canonical_generators(all_words),
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )

@@ -26,19 +26,20 @@ then grows the graph Todd-Coxeter style until the action is total, which
 at finite index yields the full coset graph; a core that is already
 complete is returned as it is.
 
-Every graph leaves the builder once, read out by one breadth-first walk
-from the base in canonical vertex order, so ``build_core`` and
-``complete_graph`` return graphs equal to their own ``canonicalize``.
-``canonicalize`` remains for graphs built by hand and for
-``canonical_encoding``.
+Every graph leaves the builder once, read out by the one breadth-first
+walk that also serves ``canonicalize``: from the base, taking each
+vertex's entries in (lam, g) order and numbering vertices as they are
+discovered.  So ``build_core`` and ``complete_graph`` return graphs equal
+to their own ``canonicalize``, which remains for graphs built by hand and
+for ``canonical_encoding``.
 
 A finished graph's lam-components are read by one breadth-first walk per
 factor, ``lambda_forest``, into flat per-vertex arrays (component index,
 coset label, and the spanning-tree edge that reached the vertex) and each
 component's root and root stabilizer, with no object per component.
-``kurosh_decompose`` and the verifier's checks C3, C4 and C7 read those
-arrays; ``lambda_components`` groups them into one ``LambdaComponent``
-per component.
+``higgins_decompose``, ``kurosh_decompose`` and the verifier's checks C3,
+C4 and C7 read those arrays; ``lambda_components`` groups them into one
+``LambdaComponent`` per component.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .fingroup import FiniteGroup, subgroup_closure
+from .fingroup import subgroup_closure
 from .freeprod import FactorSystem, Word
 
 Edge = tuple[int, int, int, int]  # (u, lam, g, v), read u --g--> v
@@ -86,29 +87,6 @@ def _slots(lam: int, order: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     """The (g, (lam, g)) pairs of the nonidentity elements g of an order-n
     factor lam, built once and shared by every walk over its edge slots."""
     return tuple((g, (lam, g)) for g in range(1, order))
-
-
-def _canonical_loop_label(group: FiniteGroup, g: int) -> int:
-    return min(g, group.inv[g])
-
-
-def graph_edges(sys: FactorSystem, graph: CoreGraph):
-    """Canonical undirected edges (u, lam, g, v), u <= v, deterministic order."""
-    groups = sys.factors_g
-    seen = set()
-    out = []
-    for u in range(graph.vertex_count):
-        for (lam, g), v in sorted(graph.action[u].items()):
-            if u < v:
-                key = (u, lam, g, v)
-            elif u > v:
-                key = (v, lam, groups[lam].inv[g], u)
-            else:
-                key = (u, lam, _canonical_loop_label(groups[lam], g), u)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    return out
 
 
 @dataclass(frozen=True)
@@ -360,35 +338,16 @@ class _Builder:
         self.add_edge(f, lam, g, b)
 
     def to_graph(self) -> CoreGraph:
-        """Stabilize and read the graph out in canonical form.
-
-        One breadth-first walk from the base, taking each vertex's edges in
-        (lam, g) order, numbers the vertices in discovery order, exactly as
-        ``canonicalize`` does, so the result equals its own canonical form.
-        """
+        """Stabilize and read the graph out in canonical form, by the same
+        ``_read_out`` as ``canonicalize``, so the result equals its own
+        canonical form."""
         self.stabilize()
-        adj, find = self.adj, self.find
-        order = [find(0)]
-        number = {order[0]: 0}
-        action = []
-        for v in order:  # grows while the walk discovers vertices
-            entries = {}
-            for key, w in sorted(adj[v].items()):
-                w = find(w)
-                i = number.get(w)
-                if i is None:
-                    i = number[w] = len(order)
-                    order.append(w)
-                entries[key] = i
-            action.append(entries)
-        if len(order) != self.live:
-            raise AssertionError("graph has unreachable vertices")
+        action = _read_out(self.adj, self.find(0), self.find, self.live)
         total = sum(g.order - 1 for g in self.groups)
-        complete = all(len(a) == total for a in action)
         return CoreGraph(
-            vertex_count=len(order),
-            action=tuple(action),
-            complete=complete,
+            vertex_count=len(action),
+            action=action,
+            complete=all(len(a) == total for a in action),
         )
 
 
@@ -542,21 +501,30 @@ def lambda_components(sys: FactorSystem, graph: CoreGraph, lam: int) -> list[Lam
     ]
 
 
-def _bfs_order(graph: CoreGraph) -> list[int]:
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for key in sorted(graph.action[u]):
-            v = graph.action[u][key]
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    if len(order) != graph.vertex_count:
+def _read_out(adj, base: int, find, vertex_count: int) -> tuple[dict, ...]:
+    """Renumber the action rows ``adj`` in breadth-first discovery order.
+
+    The walk starts at ``base``, takes each vertex's entries in (lam, g)
+    order and maps every target through ``find`` first; the base becomes
+    vertex 0.  Raises AssertionError unless it reaches ``vertex_count``
+    vertices.
+    """
+    order = [base]
+    number = {base: 0}
+    action = []
+    for v in order:  # grows while the walk discovers vertices
+        entries = {}
+        for key, w in sorted(adj[v].items()):
+            w = find(w)
+            i = number.get(w)
+            if i is None:
+                i = number[w] = len(order)
+                order.append(w)
+            entries[key] = i
+        action.append(entries)
+    if len(order) != vertex_count:
         raise AssertionError("graph has unreachable vertices")
-    return order
+    return tuple(action)
 
 
 def canonicalize(graph: CoreGraph) -> CoreGraph:
@@ -564,17 +532,9 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
 
     Isomorphic based labeled graphs canonicalize to equal objects.
     """
-    order = _bfs_order(graph)
-    relabel = {old: new for new, old in enumerate(order)}
-    action = []
-    for old in order:
-        entries = {}
-        for key in sorted(graph.action[old]):
-            entries[key] = relabel[graph.action[old][key]]
-        action.append(entries)
     return CoreGraph(
         vertex_count=graph.vertex_count,
-        action=tuple(action),
+        action=_read_out(graph.action, 0, lambda w: w, graph.vertex_count),
         complete=graph.complete,
     )
 

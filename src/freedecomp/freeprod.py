@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fingroup import FiniteGroup, GroupHom
+from .fingroup import FiniteGroup, GroupHom, identity_hom, validate_hom
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
@@ -59,8 +59,6 @@ class FactorSystem:
 
         Lets the graph machinery run on the B side unchanged.
         """
-        from .fingroup import identity_hom
-
         return FactorSystem(
             factors_g=self.factors_b,
             factors_b=self.factors_b,
@@ -78,8 +76,6 @@ class FactorSystem:
 
 def make_system(factors_g, factors_b, theta_maps) -> FactorSystem:
     """Assemble a validated system from groups and raw theta value tables."""
-    from .fingroup import validate_hom
-
     fg = tuple(factors_g)
     fb = tuple(factors_b)
     if len(fg) != len(fb) or len(fg) != len(theta_maps):

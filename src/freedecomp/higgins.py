@@ -3,7 +3,9 @@
 Given the complete coset graph of H <= G = G_0 * G_1 * ... and a
 factor-wise map onto B = B_0 * B_1 * ..., this picks one transversal word
 p_N per coset with trivial image in B, then collects the Schreier elements
-p_N g p_{Ng}^-1 of the factor-lam edges into a generating set for H_lam.
+p_N g p_{Ng}^-1 of the factor-lam edges into a generating set for H_lam:
+those of the tree edges and root loops of ``lambda_forest`` already
+generate it, so only they are taken.
 Image-trivial transversals make every H_lam land inside B_lam, and the
 stabilizer of each lam-component root, conjugated by its transversal, is
 contained in H_lam by construction.
@@ -28,7 +30,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, GraphNotComplete, graph_edges
+from .covgraph import CoreGraph, GraphNotComplete, lambda_forest
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, theta_word
 
 _STATE_BUDGET = 500_000
@@ -170,21 +172,37 @@ def build_theta_tree(
 
 
 def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> HigginsDecomposition:
-    """Schreier generators of every factor, grouped by factor."""
+    """Schreier generators of every factor, grouped by factor.
+
+    H_lam is generated by the words p_u g p_w^-1 of all factor-lam edges
+    (u, g, w); the tree edges of ``lambda_forest`` and the loops at each
+    component root already generate it (Schreier's lemma).  On the complete
+    graph a component is the orbit of its root r under G_lam, so each of
+    its vertices v is one edge (r, a_v, v) from r, of coset label a_v, and
+    that edge is v's tree edge, of word z_v = p_r a_v p_v^-1.  A non-tree
+    edge (u, g, w) of the component then gives
+    p_u g p_w^-1 = z_u^-1 (p_r s p_r^-1) z_w with s = a_u g a_w^-1, and
+    r s = u g a_w^-1 = w a_w^-1 = r, so s lies in the root stabilizer and
+    p_r s p_r^-1 is the word of the root loop (r, s, r).  The loop word of
+    s^-1 is the inverse of that of s, so only loops with s <= s^-1 are
+    taken.  The root is the component's smallest vertex, so every word
+    taken is that of an edge as the all-edge split orients it, and the
+    set generates the same H_lam.
+    """
     p = tree.transversal
     per_factor = []
-    edges = graph_edges(sys, graph)
     for lam in range(sys.num_factors):
-        gens = []
-        seen = set()
-        for u, l2, g, v in edges:
-            if l2 != lam:
-                continue
-            w = multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[v]))
-            if w and w not in seen:
-                seen.add(w)
-                gens.append(w)
-        gens.sort(key=lambda w: (len(w), w))
+        inv = sys.factors_g[lam].inv
+        forest = lambda_forest(sys, graph, lam)
+        edges = [(forest.parent[v], forest.via[v], v) for v in forest.order if forest.via[v]]
+        for r, stab in zip(forest.roots, forest.stabilizers):
+            edges.extend((r, s, r) for s in stab[1:] if s <= inv[s])
+        words = {
+            multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[w]))
+            for u, g, w in edges
+        }
+        words.discard(EMPTY)
+        gens = sorted(words, key=lambda w: (len(w), w))
 
         for w in gens:
             img = theta_word(sys, w)

@@ -224,6 +224,39 @@ def z2z3_point_stabilizer(n: int, seed: int = 1, fixed: tuple[int, int] | None =
     return PointStabilizer(system, tuple(gens), n, pieces, int(rank))
 
 
+def s5z2_point_stabilizer(seed: int):
+    """A system of the shape of the benchmark's S5*Z2 rung: S5 * Z2 onto
+    Z2 * Z2 by (sign, identity), and H the stabiliser of point 0 when S5
+    acts naturally on 5 points and Z2 by a random involution with one
+    fixed point.  H is given by its Schreier generators over a
+    breadth-first tree, for a transposition, a 5-cycle and a random
+    element of S5 and the involution."""
+    rnd = random.Random(seed)
+    perms = sorted(itertools.permutations(range(5)))  # sym(5)'s element order
+    s5 = [perms.index((1, 0, 2, 3, 4)), perms.index((1, 2, 3, 4, 0)), rnd.randrange(1, 120)]
+    pts = rnd.sample(range(5), 5)
+    flip = list(range(5))
+    for i in (1, 3):
+        flip[pts[i]], flip[pts[i + 1]] = pts[i + 1], pts[i]
+    moves = {(0, e): perms[e] for e in s5}
+    moves[(1, 1)] = flip
+    system = make_system([sym(5), Z2], [Z2, Z2], [sign_map(5), [0, 1]])
+    word = {0: ()}
+    order = [0]
+    for u in order:  # grows while the walk discovers points
+        for syl, perm in moves.items():
+            if perm[u] not in word:
+                word[perm[u]] = normalize(system, "G", word[u] + (syl,))
+                order.append(perm[u])
+    gens = {}
+    for u in order:
+        for syl, perm in moves.items():
+            s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+            if s:
+                gens.setdefault(s)
+    return system, tuple(gens)
+
+
 def enumerate_ball(system: FactorSystem, maxlen: int):
     """All normal-form words over G of syllable length <= maxlen."""
     factors = system.factors_g

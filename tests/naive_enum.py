@@ -32,7 +32,10 @@ single ``lambda_forest`` walk, and ``spanning_data`` with
 ``spanning_kurosh_decompose`` is ``kurosh_decompose`` before it read the
 forests: a global tree by breadth-first search over per-vertex neighbour
 lists of the component trees, and a free basis of the component-tree
-edges whose canonical form the global tree lacks.
+edges whose canonical form the global tree lacks.  ``graph_edges`` lists
+every undirected edge once, and ``all_edge_higgins_decompose`` is
+``higgins_decompose`` before it read the forests: the Schreier words of
+all those edges, not only of the forest's tree edges and root loops.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from freedecomp import covgraph
 from freedecomp.covgraph import CoreGraph, Edge, GraphNotComplete, LambdaComponent, lambda_components, membership
 from freedecomp.fingroup import FiniteGroup, subgroup_closure
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
+from freedecomp.higgins import FactorDecomposition, HigginsDecomposition, ThetaTree
 from freedecomp.kurosh import DisconnectedUnion, KuroshDecomposition, KuroshPiece, kurosh_decompose
 
 
@@ -481,6 +485,43 @@ def spanning_kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDeco
         free_basis=tuple(basis),
         free_rank=len(basis),
     )
+
+
+def graph_edges(sys: FactorSystem, graph: CoreGraph) -> list[Edge]:
+    """Canonical undirected edges (u, lam, g, v), u <= v, deterministic
+    order; a loop is listed by the smaller of g and g^-1."""
+    groups = sys.factors_g
+    seen = set()
+    out = []
+    for u in range(graph.vertex_count):
+        for (lam, g), v in sorted(graph.action[u].items()):
+            if u < v:
+                key = (u, lam, g, v)
+            elif u > v:
+                key = (v, lam, groups[lam].inv[g], u)
+            else:
+                key = (u, lam, min(g, groups[lam].inv[g]), u)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+def all_edge_higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> HigginsDecomposition:
+    """The nontrivial Schreier words p_u g p_v^-1 of every factor-lam edge
+    of ``graph_edges``, deduplicated and sorted by (length, word)."""
+    p = tree.transversal
+    edges = graph_edges(sys, graph)
+    per_factor = []
+    for lam in range(sys.num_factors):
+        words = {
+            multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[v]))
+            for u, l2, g, v in edges
+            if l2 == lam
+        }
+        words.discard(EMPTY)
+        per_factor.append(FactorDecomposition(lam=lam, gens=tuple(sorted(words, key=lambda w: (len(w), w)))))
+    return HigginsDecomposition(factors=tuple(per_factor))
 
 
 class LinearScanBuilder(covgraph._Builder):

@@ -277,6 +277,21 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_certificate_with_an_h_generators_key_still_verifies(tmp_path, capsys):
+    # certificates written before the field was dropped carry "h_generators";
+    # the parser ignores keys it does not read, whatever their value
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    assert "h_generators" not in cert
+    for value in (["0:1", "1:1 0:1 1:1"], ["0:1"], [1]):
+        old_file = write(tmp_path, "old.json", dict(cert, h_generators=value))
+        capsys.readouterr()
+        assert main(["verify", sys_file, old_file]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
+
 def test_unreadable_file(tmp_path):
     assert main(["decompose", str(tmp_path / "missing.json"), "-o", str(tmp_path / "c.json")]) == 3
 
@@ -524,7 +539,6 @@ def test_uncaught_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
         (("factors", 0, "vertex_groups"), ["0:1"]),
         (("factors", 0, "vertex_groups"), [[7]]),
         (("factors", 1, "g_corrections"), [{}]),
-        (("h_generators",), [1]),
         (("tree_transversal",), "0:1"),
     ],
 )

@@ -86,8 +86,11 @@ def test_reps_are_image_trivial_and_consistent(corpus):
 
 
 def test_h_generators_generate(sys_phase2, sys_phase2_gens):
+    # the vertex groups and free bases generate H
     cert = conjecture_decompose(sys_phase2, sys_phase2_gens)
-    e1 = canonical_encoding(build_core(sys_phase2, cert.h_generators))
+    claimed = [w for fc in cert.factors for vg in fc.vertex_groups for w in vg]
+    claimed += [w for fc in cert.factors for w in fc.f_basis]
+    e1 = canonical_encoding(build_core(sys_phase2, claimed))
     e2 = canonical_encoding(build_core(sys_phase2, sys_phase2_gens))
     assert e1 == e2
 

@@ -15,7 +15,7 @@ import json
 from freedecomp.cli import main
 from freedecomp.freeprod import format_word
 
-GOLDEN_DIGEST = "de833d7c565721f5e506d8757b28df4b59ae36e1b84e553d99a94013ab438463"
+GOLDEN_DIGEST = "1819f42c0a755bfedb399761b1fa93c6a67582173dd2c605b72cae30163c4756"
 
 
 def system_json(inst) -> dict:

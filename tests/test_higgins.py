@@ -5,6 +5,7 @@ from freedecomp import (
     TreeBoundExceeded,
     build_core,
     build_theta_tree,
+    canonical_encoding,
     canonicalize,
     complete_graph,
     higgins_decompose,
@@ -15,7 +16,8 @@ from freedecomp import (
 from freedecomp import higgins
 from freedecomp.freeprod import EMPTY, invert, make_system, multiply, parse_word
 
-from conftest import Z2
+from conftest import Z2, s5z2_point_stabilizer, z2z3_point_stabilizer
+from naive_enum import all_edge_higgins_decompose
 
 
 def w(sys, text):
@@ -190,3 +192,49 @@ def test_tree_determinism(sys_phase2, sys_phase2_gens):
     t3 = build_theta_tree(sys_phase2, g, order_seed=3)
     for word in t3.transversal:
         assert theta_word(sys_phase2, word) == EMPTY
+
+
+def split_oracle_cases(corpus):
+    """(system, graph, tree) triples: the test corpus's surjective systems
+    with the transversals of order_seed 0-2, the scaling family with a
+    fixed point of Z2, and S5*Z2 point stabilisers."""
+    from freedecomp.conjecture import check_h_theta_surjective, ThetaNotSurjectiveOntoB
+
+    for inst in corpus:
+        try:
+            check_h_theta_surjective(inst.system, inst.gens, 200)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        for order_seed in range(3):
+            try:
+                yield inst.system, inst.graph, build_theta_tree(inst.system, inst.graph, order_seed=order_seed)
+            except TreeBoundExceeded:
+                continue
+    for n in (12, 60, 300):
+        # a fixed point of Z2 puts a conjugate of its generator, of image
+        # 1 in B = Z2, into H, so H maps onto B
+        ps = z2z3_point_stabilizer(n, fixed=(2, 0))
+        graph = complete_graph(ps.system, build_core(ps.system, ps.gens), n)
+        yield ps.system, graph, build_theta_tree(ps.system, graph)
+    for seed in range(1, 7):
+        system, gens = s5z2_point_stabilizer(seed)
+        graph = complete_graph(system, build_core(system, gens), 5)
+        yield system, graph, build_theta_tree(system, graph)
+
+
+def test_forest_split_matches_all_edge_oracle(corpus):
+    # the tree edges and root loops give some of the all-edge Schreier words,
+    # and those generate the same H_lam, so its core is the same graph
+    cases = fewer = 0
+    for system, graph, tree in split_oracle_cases(corpus):
+        cases += 1
+        forest = higgins_decompose(system, graph, tree)
+        oracle = all_edge_higgins_decompose(system, graph, tree)
+        for fd, od in zip(forest.factors, oracle.factors, strict=True):
+            assert fd.lam == od.lam
+            assert set(fd.gens) <= set(od.gens)
+            assert bool(fd.gens) == bool(od.gens)
+            if fd.gens:
+                assert canonical_encoding(build_core(system, fd.gens)) == canonical_encoding(build_core(system, od.gens))
+            fewer += len(fd.gens) < len(od.gens)
+    assert cases > 300 and fewer > 0

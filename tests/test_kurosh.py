@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
@@ -15,13 +14,11 @@ from freedecomp import (
     make_system,
     membership,
     multiply,
-    normalize,
-    sym,
 )
 from freedecomp.covgraph import CoreGraph
 from freedecomp.freeprod import EMPTY, parse_word
 
-from conftest import Z2, sign_map, z2z3_point_stabilizer
+from conftest import Z2, s5z2_point_stabilizer, z2z3_point_stabilizer
 from naive_enum import (
     Fingerprint,
     brute_force_double_cosets,
@@ -256,39 +253,6 @@ def test_graph_fingerprint_matches_decomposition_oracle(corpus):
         assert components_fingerprint(ps.system, graph) == inv, (n, seed)
         orders = sorted((lam, len(key)) for lam, key in inv.piece_classes)
         assert tuple(orders) == ps.pieces and inv.free_rank == ps.free_rank, (n, seed)
-
-
-def s5z2_point_stabilizer(seed: int):
-    """A system of the shape of the benchmark's S5*Z2 rung: S5 * Z2 onto
-    Z2 * Z2 by (sign, identity), and H the stabiliser of point 0 when S5
-    acts naturally on 5 points and Z2 by a random involution with one
-    fixed point.  H is given by its Schreier generators over a
-    breadth-first tree, for a transposition, a 5-cycle and a random
-    element of S5 and the involution."""
-    rnd = random.Random(seed)
-    perms = sorted(itertools.permutations(range(5)))  # sym(5)'s element order
-    s5 = [perms.index((1, 0, 2, 3, 4)), perms.index((1, 2, 3, 4, 0)), rnd.randrange(1, 120)]
-    pts = rnd.sample(range(5), 5)
-    flip = list(range(5))
-    for i in (1, 3):
-        flip[pts[i]], flip[pts[i + 1]] = pts[i + 1], pts[i]
-    moves = {(0, e): perms[e] for e in s5}
-    moves[(1, 1)] = flip
-    system = make_system([sym(5), Z2], [Z2, Z2], [sign_map(5), [0, 1]])
-    word = {0: ()}
-    order = [0]
-    for u in order:  # grows while the walk discovers points
-        for syl, perm in moves.items():
-            if perm[u] not in word:
-                word[perm[u]] = normalize(system, "G", word[u] + (syl,))
-                order.append(perm[u])
-    gens = {}
-    for u in order:
-        for syl, perm in moves.items():
-            s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
-            if s:
-                gens.setdefault(s)
-    return system, tuple(gens)
 
 
 def renumbered(graph: CoreGraph, rnd: random.Random) -> CoreGraph:
