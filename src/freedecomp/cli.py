@@ -101,20 +101,8 @@ def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
     raw_bounds = data.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise InputError("bounds must be an object")
-    bounds = _checked_bounds(
-        max_cosets=raw_bounds.get("max_cosets", 10_000),
-        tree_word_bound=raw_bounds.get("tree_word_bound", 12),
-        tree_retries=raw_bounds.get("tree_retries", 8),
-    )
+    bounds = Bounds(max_cosets=_bound(raw_bounds.get("max_cosets", Bounds.max_cosets), "max_cosets", 1))
     return system, gens, bounds
-
-
-def _checked_bounds(max_cosets, tree_word_bound, tree_retries) -> Bounds:
-    return Bounds(
-        max_cosets=_bound(max_cosets, "max_cosets", 1),
-        tree_word_bound=_bound(tree_word_bound, "tree_word_bound", 0),
-        tree_retries=_bound(tree_retries, "tree_retries", 1),
-    )
 
 
 def _read_json(path: str):
@@ -294,13 +282,10 @@ def cmd_member(args) -> int:
 
 
 def _merge_bounds(bounds: Bounds, args) -> Bounds:
-    """The file's bounds, overridden by the bound flags the subcommand has."""
-
-    def pick(name: str):
-        flag = getattr(args, name, None)
-        return getattr(bounds, name) if flag is None else flag
-
-    return _checked_bounds(pick("max_cosets"), pick("tree_word_bound"), pick("tree_retries"))
+    """The file's bounds, overridden by ``--max-cosets`` where given."""
+    if args.max_cosets is None:
+        return bounds
+    return Bounds(max_cosets=_bound(args.max_cosets, "max_cosets", 1))
 
 
 def _add_max_cosets_flag(p: argparse.ArgumentParser) -> None:
@@ -321,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="also write the report as JSON")
     p.add_argument("--dot", default=None, help="write the coset graph as DOT")
     _add_max_cosets_flag(p)
-    p.add_argument("--tree-word-bound", type=int, default=None, help="image length bound in transversal search")
-    p.add_argument("--tree-retries", type=int, default=None, help="transversal retry budget (default 8)")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("kurosh", help="free-product decomposition of a subgroup")

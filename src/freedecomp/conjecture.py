@@ -12,7 +12,9 @@ which the verify module re-checks from scratch.
 The transversal choice is a heuristic.  Each candidate certificate is
 gated by the verifier's own checks C1-C7 on the already-built coset graph,
 and a rejected candidate is retried with permuted edge orders before
-giving up.
+giving up.  The coset bound is the one settable bound; the transversal
+search's image bound and the retry count are fixed constants of
+``Bounds``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .covgraph import CoreGraph, build_core, complete_graph
 from .fingroup import solve_preimage
@@ -47,14 +50,21 @@ class CertificateRejected(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
+    """The coset bound, the one settable bound, and the fixed constants of
+    the transversal search and its retry loop.
+
+    ``decompose_and_check`` reads ``tree_word_bound`` and ``tree_retries``.
+    ``tree_extension_bound``, ``free_test_len`` and ``seed`` are ignored;
+    the benchmark harness (``perfbench/tracing.py``) still reads all five
+    off an instance.
+    """
+
     max_cosets: int = 10_000
-    tree_word_bound: int = 12
-    tree_extension_bound: int = 64
-    tree_retries: int = 8
-    free_test_len: int = 8
-    """Ignored; kept only because the benchmark harness reads it."""
-    seed: int = 0
-    """Ignored; kept only because the benchmark harness reads it."""
+    tree_word_bound: ClassVar[int] = 12
+    tree_retries: ClassVar[int] = 8
+    tree_extension_bound: ClassVar[int] = 64
+    free_test_len: ClassVar[int] = 8
+    seed: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,6 @@ def decompose_and_check(
     """``conjecture_decompose`` plus the passing report of checks C1-C7 and
     the complete canonical coset graph of H they ran on."""
     bounds = bounds or Bounds()
-    if bounds.tree_retries < 1:
-        raise ValueError(f"tree_retries must be at least 1, got {bounds.tree_retries}")
     gens = canonical_generators(h_gens)
     graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
     check_h_theta_surjective(sys, gens, bounds.max_cosets)
@@ -128,13 +136,7 @@ def decompose_and_check(
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
-            tree = build_theta_tree(
-                sys,
-                graph,
-                word_bound=bounds.tree_word_bound,
-                extension_bound=bounds.tree_extension_bound,
-                order_seed=order_seed,
-            )
+            tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
             cert, report = _assemble(sys, graph, tree, bounds)
             return cert, report, graph
         except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:

@@ -74,7 +74,10 @@ class CoreGraph:
 
     ``action[v]`` maps ``(lam, g)`` to the target vertex; both directions of
     every edge are stored, so ``action[v][(lam, g)] == w`` implies
-    ``action[w][(lam, g^-1)] == v``.  The base vertex is 0.
+    ``action[w][(lam, g^-1)] == v``.  The base vertex is 0.  Every row lists
+    its entries in (lam, g) order, as ``_read_out`` writes them; readers
+    such as ``kurosh_decompose``, ``canonical_encoding`` and ``to_dot``
+    rely on that order instead of sorting.
     """
 
     vertex_count: int
@@ -545,7 +548,7 @@ def canonical_encoding(graph: CoreGraph) -> bytes:
     canon = canonicalize(graph)
     parts = [str(canon.vertex_count)]
     for v in range(canon.vertex_count):
-        cell = ",".join(f"{lam}.{g}>{w}" for (lam, g), w in sorted(canon.action[v].items()))
+        cell = ",".join(f"{lam}.{g}>{w}" for (lam, g), w in canon.action[v].items())
         parts.append(cell)
     return ("|".join(parts)).encode("ascii")
 
@@ -557,7 +560,7 @@ def to_dot(graph: CoreGraph) -> str:
         shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  v{v} [shape={shape}];')
     for v in range(graph.vertex_count):
-        for (lam, g), w in sorted(graph.action[v].items()):
+        for (lam, g), w in graph.action[v].items():
             lines.append(f'  v{v} -> v{w} [label="{lam}:{g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -250,24 +250,23 @@ def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
 
 
 def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
-    """Smallest subset containing 0 and gens, closed under product and inverse."""
-    closed = {0}
-    frontier = sorted(set(gens) - {0})
-    for g in frontier:
+    """The subgroup generated by gens: the closure of {0} under right
+    multiplication by the generators, breadth-first.  In a finite group
+    the monoid a set generates is the subgroup it generates."""
+    gens = sorted(set(gens) - {0})
+    for g in gens:
         if not 0 <= g < group.order:
             raise MalformedTable(f"generator {g} out of range")
-    closed.update(frontier)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            candidates = [group.inv[g]]
-            candidates.extend(group.mul[g][h] for h in sorted(closed))
-            candidates.extend(group.mul[h][g] for h in sorted(closed))
-            for c in candidates:
-                if c not in closed:
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = sorted(nxt)
+    mul = group.mul
+    closed = {0}
+    queue = [0]
+    for x in queue:  # grows while the walk reaches new elements
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
     return frozenset(closed)
 
 

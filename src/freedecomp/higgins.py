@@ -15,13 +15,15 @@ Transversal search runs in three priority stages:
 1. a spanning forest of single edges whose label dies in B;
 2. breadth-first search over (vertex, accumulated image) states from the
    already-covered vertices, claiming a vertex the first time it is
-   reached with trivial image;
+   reached with trivial image, until every vertex has a word;
 3. pairing of leftover vertices: a state (N, img) combines with a base
    loop of equal image into the image-trivial word loop^-1 * path.
 
-Whether the resulting direct factors assemble into a free product is not
-guaranteed by the construction; callers verify and retry with permuted
-edge orders (``order_seed``) when a check fails.
+Images longer than ``word_bound`` syllables are not followed, so the
+states are finitely many and stage 2 ends; a state budget caps it on
+large graphs.  Whether the resulting direct factors assemble into a free
+product is not guaranteed by the construction; callers verify and retry
+with permuted edge orders (``order_seed``) when a check fails.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class ThetaTree:
     readable from the base, p_base empty."""
 
     transversal: tuple[Word, ...]
-    order_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,10 @@ def build_theta_tree(
 ) -> ThetaTree:
     """Choose an image-trivial transversal word for every coset.
 
-    ``word_bound`` caps the syllable length of intermediate images,
-    ``extension_bound`` caps the graph length of candidate words.  Raises
+    ``word_bound`` caps the syllable length of intermediate images.  Raises
     TreeBoundExceeded when some vertex stays unreachable within the bounds
     (callers should check that H maps onto B first to tell the cases apart).
+    ``extension_bound`` is ignored; the benchmark harness still passes it.
     """
     if not graph.complete:
         raise GraphNotComplete("transversal search requires the full coset graph")
@@ -94,11 +95,13 @@ def build_theta_tree(
 
     p: list[Word | None] = [None] * n
     p[0] = EMPTY
+    uncovered = n - 1  # vertices still without a word
 
     kernel_labels = [(lam, g) for lam, g in labels if sys.theta[lam].map[g] == 0]
 
     def kernel_closure(start: int) -> None:
         # stage 1 rule: grow the transversal along single kernel-label edges
+        nonlocal uncovered
         queue = deque([start])
         while queue:
             u = queue.popleft()
@@ -107,30 +110,23 @@ def build_theta_tree(
                 if v is None or p[v] is not None:
                     continue
                 p[v] = multiply(sys, "G", p[u], ((lam, g),))
+                uncovered -= 1
                 queue.append(v)
 
     kernel_closure(0)
-
-    uncovered = [v for v in range(n) if p[v] is None]
     if not uncovered:
-        return ThetaTree(tuple(p), order_seed)
+        return ThetaTree(tuple(p))
 
-    # stage 2/3: BFS over (vertex, image) states from the covered vertices
-    sources = [v for v in range(n) if p[v] is not None]
+    # stage 2: BFS over (vertex, image) states from the covered vertices
     visited: dict[tuple[int, Word], Word] = {}  # (vertex, image) -> a word from the base with that end and image
-    arrivals: dict[int, list[Word]] = {v: [] for v in range(n)}
     squeue: deque = deque()
-    for src in sources:
-        state = (src, EMPTY)
-        if state not in visited:
-            visited[state] = p[src]
-            arrivals[src].append(EMPTY)
-            squeue.append((state, 0))
-    while squeue and len(visited) < _STATE_BUDGET:
-        (v, img), depth = squeue.popleft()
-        if depth >= extension_bound:
-            continue
-        q = visited[(v, img)]
+    for src in range(n):
+        if p[src] is not None:
+            visited[(src, EMPTY)] = p[src]
+            squeue.append((src, EMPTY))
+    while uncovered and squeue and len(visited) < _STATE_BUDGET:
+        v, img = state = squeue.popleft()
+        q = visited[state]
         for lam, g in labels:
             v2 = graph.action[v][(lam, g)]
             img2 = multiply(sys, "B", img, ((lam, sys.theta[lam].map[g]),) if sys.theta[lam].map[g] else ())
@@ -141,34 +137,38 @@ def build_theta_tree(
                 continue
             q2 = multiply(sys, "G", q, ((lam, g),))
             visited[state] = q2
-            arrivals[v2].append(img2)
-            squeue.append((state, depth + 1))
+            squeue.append(state)
             if img2 == EMPTY and p[v2] is None:
                 p[v2] = q2
+                uncovered -= 1
                 kernel_closure(v2)
+    if not uncovered:
+        return ThetaTree(tuple(p))
+
+    # stage 3: pair each leftover vertex with a base loop of equal image
     budget_hit = bool(squeue)  # states were left when the budget stopped the search
-    uncovered = [v for v in range(n) if p[v] is None]
-    if uncovered:
-        base_images = [img for img in arrivals[0] if img != EMPTY]
-        base_set = set(base_images)
-        for v in list(uncovered):
-            if p[v] is not None:
-                continue
-            match = next((img for img in arrivals[v] if img in base_set), None)
-            if match is None:
-                continue
-            h = visited[(0, match)]
-            q = visited[(v, match)]
-            p[v] = multiply(sys, "G", invert(sys, "G", h), q)
-            kernel_closure(v)
-        uncovered = [v for v in range(n) if p[v] is None]
+    arrivals: dict[int, list[Word]] = {v: [] for v in range(n)}
+    for v, img in visited:  # in arrival order
+        arrivals[v].append(img)
+    base_set = {img for img in arrivals[0] if img != EMPTY}
+    for v in range(n):
+        if p[v] is not None:
+            continue
+        match = next((img for img in arrivals[v] if img in base_set), None)
+        if match is None:
+            continue
+        h = visited[(0, match)]
+        q = visited[(v, match)]
+        p[v] = multiply(sys, "G", invert(sys, "G", h), q)
+        uncovered -= 1
+        kernel_closure(v)
     if uncovered:
         budget = f", state budget {_STATE_BUDGET} reached" if budget_hit else ""
+        missing = [v for v in range(n) if p[v] is None]
         raise TreeBoundExceeded(
-            f"no image-trivial transversal for vertices {uncovered} "
-            f"(word_bound={word_bound}, extension_bound={extension_bound}{budget})"
+            f"no image-trivial transversal for vertices {missing} (word_bound={word_bound}{budget})"
         )
-    return ThetaTree(tuple(p), order_seed)
+    return ThetaTree(tuple(p))
 
 
 def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> HigginsDecomposition:

@@ -62,7 +62,7 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
     queue = [0]
     for u in queue:  # grows while the walk discovers vertices
         p_u = p[u]
-        for (lam, g), v in sorted(graph.action[u].items()):
+        for (lam, g), v in graph.action[u].items():
             if p[v] is not None:
                 continue
             if parents[lam][v] == u and vias[lam][v] == g:

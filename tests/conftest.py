@@ -257,6 +257,33 @@ def s5z2_point_stabilizer(seed: int):
     return system, tuple(gens)
 
 
+def dihedral_point_stabilizer(n: int):
+    """Z2 * Z2 = <a> * <b> onto Z2 * 1 (identity, trivial map), and H the
+    stabiliser of point 0 when a acts on Z/n by i -> -i and b by
+    i -> 1 - i.  The coset graph is a path from the base, 0 -b- 1 -a- n-1
+    -b- 2 ..., with an a-loop at the base and a loop at the far end, so the
+    last coset is n - 1 edges away.  H is given by its Schreier
+    generators over a breadth-first tree."""
+    a = [-i % n for i in range(n)]
+    b = [(1 - i) % n for i in range(n)]
+    moves = {(0, 1): a, (1, 1): b}
+    system = make_system([Z2, Z2], [Z2, TRIV], [[0, 1], [0, 0]])
+    word = {0: ()}
+    order = [0]
+    for u in order:  # grows while the walk discovers points
+        for syl, perm in moves.items():
+            if perm[u] not in word:
+                word[perm[u]] = word[u] + (syl,)
+                order.append(perm[u])
+    gens = {}
+    for u in order:
+        for syl, perm in moves.items():
+            s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+            if s:
+                gens.setdefault(s)
+    return system, tuple(gens)
+
+
 def enumerate_ball(system: FactorSystem, maxlen: int):
     """All normal-form words over G of syllable length <= maxlen."""
     factors = system.factors_g

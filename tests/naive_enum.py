@@ -26,7 +26,10 @@ and the stabilizer closure and coset table built even when there is no
 generator.
 ``cubic_associative`` and ``all_pairs_hom`` are the exhaustive group-table
 checks that Light's test and the law on generators replaced in
-``fingroup``.  ``object_lambda_components`` walks each lam-component into
+``fingroup``, and ``frontier_subgroup_closure`` is ``subgroup_closure``
+before it became one breadth-first closure under right multiplication:
+products on both sides and inverses of every frontier element.
+``object_lambda_components`` walks each lam-component into
 its own ``LambdaComponent``, as ``lambda_components`` did before the
 single ``lambda_forest`` walk, and ``spanning_data`` with
 ``spanning_kurosh_decompose`` is ``kurosh_decompose`` before it read the
@@ -36,18 +39,23 @@ edges whose canonical form the global tree lacks.  ``graph_edges`` lists
 every undirected edge once, and ``all_edge_higgins_decompose`` is
 ``higgins_decompose`` before it read the forests: the Schreier words of
 all those edges, not only of the forest's tree edges and root loops.
+``bounded_theta_tree`` is ``build_theta_tree`` before its stage 2 lost
+its depth cap: it expands no state more than ``extension_bound`` edges
+from the covered vertices, keeps searching after every vertex has a word,
+and records every arrival as it goes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from freedecomp import covgraph
+from freedecomp import covgraph, higgins
 from freedecomp.covgraph import CoreGraph, Edge, GraphNotComplete, LambdaComponent, lambda_components, membership
-from freedecomp.fingroup import FiniteGroup, subgroup_closure
+from freedecomp.fingroup import FiniteGroup, MalformedTable, subgroup_closure
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
-from freedecomp.higgins import FactorDecomposition, HigginsDecomposition, ThetaTree
+from freedecomp.higgins import FactorDecomposition, HigginsDecomposition, ThetaTree, TreeBoundExceeded
 from freedecomp.kurosh import DisconnectedUnion, KuroshDecomposition, KuroshPiece, kurosh_decompose
 
 
@@ -524,6 +532,104 @@ def all_edge_higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaT
     return HigginsDecomposition(factors=tuple(per_factor))
 
 
+def bounded_theta_tree(
+    sys: FactorSystem,
+    graph: CoreGraph,
+    word_bound: int = 12,
+    extension_bound: int = 64,
+    order_seed: int = 0,
+) -> ThetaTree:
+    """Choose an image-trivial transversal word for every coset.
+
+    ``word_bound`` caps the syllable length of intermediate images,
+    ``extension_bound`` caps the graph length of candidate words.  Raises
+    TreeBoundExceeded when some vertex stays unreachable within the bounds
+    (callers should check that H maps onto B first to tell the cases apart).
+    """
+    if not graph.complete:
+        raise GraphNotComplete("transversal search requires the full coset graph")
+    n = graph.vertex_count
+    labels = higgins._label_order(sys, order_seed)
+
+    p: list[Word | None] = [None] * n
+    p[0] = EMPTY
+
+    kernel_labels = [(lam, g) for lam, g in labels if sys.theta[lam].map[g] == 0]
+
+    def kernel_closure(start: int) -> None:
+        # stage 1 rule: grow the transversal along single kernel-label edges
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for lam, g in kernel_labels:
+                v = graph.action[u].get((lam, g))
+                if v is None or p[v] is not None:
+                    continue
+                p[v] = multiply(sys, "G", p[u], ((lam, g),))
+                queue.append(v)
+
+    kernel_closure(0)
+
+    uncovered = [v for v in range(n) if p[v] is None]
+    if not uncovered:
+        return ThetaTree(tuple(p))
+
+    # stage 2/3: BFS over (vertex, image) states from the covered vertices
+    sources = [v for v in range(n) if p[v] is not None]
+    visited: dict[tuple[int, Word], Word] = {}  # (vertex, image) -> a word from the base with that end and image
+    arrivals: dict[int, list[Word]] = {v: [] for v in range(n)}
+    squeue: deque = deque()
+    for src in sources:
+        state = (src, EMPTY)
+        if state not in visited:
+            visited[state] = p[src]
+            arrivals[src].append(EMPTY)
+            squeue.append((state, 0))
+    while squeue and len(visited) < higgins._STATE_BUDGET:
+        (v, img), depth = squeue.popleft()
+        if depth >= extension_bound:
+            continue
+        q = visited[(v, img)]
+        for lam, g in labels:
+            v2 = graph.action[v][(lam, g)]
+            img2 = multiply(sys, "B", img, ((lam, sys.theta[lam].map[g]),) if sys.theta[lam].map[g] else ())
+            if len(img2) > word_bound:
+                continue
+            state = (v2, img2)
+            if state in visited:
+                continue
+            q2 = multiply(sys, "G", q, ((lam, g),))
+            visited[state] = q2
+            arrivals[v2].append(img2)
+            squeue.append((state, depth + 1))
+            if img2 == EMPTY and p[v2] is None:
+                p[v2] = q2
+                kernel_closure(v2)
+    budget_hit = bool(squeue)  # states were left when the budget stopped the search
+    uncovered = [v for v in range(n) if p[v] is None]
+    if uncovered:
+        base_images = [img for img in arrivals[0] if img != EMPTY]
+        base_set = set(base_images)
+        for v in list(uncovered):
+            if p[v] is not None:
+                continue
+            match = next((img for img in arrivals[v] if img in base_set), None)
+            if match is None:
+                continue
+            h = visited[(0, match)]
+            q = visited[(v, match)]
+            p[v] = multiply(sys, "G", invert(sys, "G", h), q)
+            kernel_closure(v)
+        uncovered = [v for v in range(n) if p[v] is None]
+    if uncovered:
+        budget = f", state budget {higgins._STATE_BUDGET} reached" if budget_hit else ""
+        raise TreeBoundExceeded(
+            f"no image-trivial transversal for vertices {uncovered} "
+            f"(word_bound={word_bound}, extension_bound={extension_bound}{budget})"
+        )
+    return ThetaTree(tuple(p))
+
+
 class LinearScanBuilder(covgraph._Builder):
     """The builder picking each saturation job by ``min(self.dirty)``, the
     order the heap in ``_Builder.stabilize`` must reproduce."""
@@ -640,3 +746,25 @@ def all_pairs_hom(source, target, m) -> tuple[int, int] | None:
             if m[source.mul[x][y]] != target.mul[m[x]][m[y]]:
                 return (x, y)
     return None
+
+
+def frontier_subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
+    """Smallest subset containing 0 and gens, closed under product and inverse."""
+    closed = {0}
+    frontier = sorted(set(gens) - {0})
+    for g in frontier:
+        if not 0 <= g < group.order:
+            raise MalformedTable(f"generator {g} out of range")
+    closed.update(frontier)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            candidates = [group.inv[g]]
+            candidates.extend(group.mul[g][h] for h in sorted(closed))
+            candidates.extend(group.mul[h][g] for h in sorted(closed))
+            for c in candidates:
+                if c not in closed:
+                    closed.add(c)
+                    nxt.append(c)
+        frontier = sorted(nxt)
+    return frozenset(closed)

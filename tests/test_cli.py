@@ -13,8 +13,9 @@ from freedecomp import cli, conjecture, fingroup, verify
 from freedecomp.cli import main
 from freedecomp.conjecture import canonical_generators
 from freedecomp.fingroup import FiniteGroup, sym
+from freedecomp.freeprod import format_word
 
-from conftest import NONASSOC_LOOP, relabel, sign_map
+from conftest import NONASSOC_LOOP, dihedral_point_stabilizer, relabel, sign_map
 from naive_enum import cubic_associative
 
 SYS_A = {
@@ -296,13 +297,27 @@ def test_unreadable_file(tmp_path):
     assert main(["decompose", str(tmp_path / "missing.json"), "-o", str(tmp_path / "c.json")]) == 3
 
 
-def test_tree_retries_below_one_is_invalid_input(tmp_path, capsys):
-    sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"tree_retries": 0}))
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 3
-    assert "tree_retries must be at least 1" in capsys.readouterr().err
-    sys_file = write(tmp_path, "sys2.json", SYS_A)
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--tree-retries", "0"]) == 3
-    assert "tree_retries must be at least 1" in capsys.readouterr().err
+def test_tree_bounds_are_not_settable(tmp_path, capsys):
+    # the transversal search's bounds are constants: a file's tree keys are
+    # ignored like any unknown key, and decompose has no flag for them
+    sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"tree_retries": 0, "tree_word_bound": -1}))
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    for flag in ("--tree-retries", "--tree-word-bound"):
+        assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), flag, "2"]) == 3
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_dihedral_stabilizers_past_the_old_depth_cap_decompose(tmp_path, capsys):
+    # a search capped at 64 edges finds no transversal word for the far end
+    # of these path-shaped coset graphs (test_higgins checks the oracle)
+    for n in (67, 100, 140):
+        _, gens = dihedral_point_stabilizer(n)  # the system of SYS_A
+        sys_file = write(tmp_path, f"d{n}.json", dict(SYS_A, subgroup=[format_word(w) for w in gens]))
+        cert_file = str(tmp_path / f"c{n}.json")
+        assert main(["decompose", sys_file, "-o", cert_file]) == 0
+        assert main(["verify", sys_file, cert_file]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_decompose_builds_the_coset_graph_once(tmp_path, monkeypatch, capsys):
@@ -394,7 +409,7 @@ def test_rejection_names_every_retry(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("decompose", {"--max-cosets", "--tree-word-bound", "--tree-retries"}),
+        ("decompose", {"--max-cosets"}),
         ("kurosh", {"--max-cosets"}),
         ("verify", {"--max-cosets"}),
         ("graph", {"--max-cosets"}),
@@ -642,7 +657,7 @@ def test_mutated_inputs_exit_0_to_3(tmp_path_factory, data):
     for argv in (
         ["verify", str(sys_file), str(cert_file), *bound],
         ["kurosh", str(sys_file), *bound],
-        ["decompose", str(sys_file), "-o", str(directory / "out.json"), *bound, "--tree-retries", "2"],
+        ["decompose", str(sys_file), "-o", str(directory / "out.json"), *bound],
         ["member", str(sys_file), "1:1 0:1 1:1"],
         ["normalform", str(sys_file), "0:1 1:1", "--side", "B"],
     ):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -525,6 +526,25 @@ def test_graphs_come_out_canonical(corpus):
         assert canonicalize(full) == full
         assert canonical_encoding(full) == canonical_encoding(canonicalize(full))
     assert incomplete >= 10
+
+
+def test_rows_list_entries_in_key_order(corpus):
+    # CoreGraph's invariant, read without sorting by kurosh_decompose,
+    # canonical_encoding and to_dot: every row lists its entries in
+    # (lam, g) order, also when canonicalize gets rows in another order
+    systems = [(inst.system, inst.gens, 60) for inst in corpus] + _family()
+    rnd = random.Random(3)
+    for sys, gens, max_cosets in systems:
+        core, full = _core_and_completion(sys, gens, max_cosets)
+        shuffled = []
+        for row in full.action:
+            items = list(row.items())
+            rnd.shuffle(items)
+            shuffled.append(dict(items))
+        scrambled = dataclasses.replace(full, action=tuple(shuffled))
+        for graph in (core, full, canonicalize(core), canonicalize(scrambled)):
+            for row in graph.action:
+                assert list(row) == sorted(row)
 
 
 def test_complete_core_is_returned_as_is(corpus, monkeypatch):

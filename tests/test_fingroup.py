@@ -23,7 +23,7 @@ from freedecomp.fingroup import (
 )
 
 from conftest import NONASSOC_LOOP, S3, Z2, Z3, Z4, relabel, sign_map, sign_map_s3
-from naive_enum import all_pairs_hom, cubic_associative, subgroup_conjugacy_key
+from naive_enum import all_pairs_hom, cubic_associative, frontier_subgroup_closure, subgroup_conjugacy_key
 
 
 def test_validate_z2():
@@ -106,6 +106,18 @@ def test_closure_idempotent_and_monotone(gens):
     assert subgroup_closure(S3, closed) == closed
     bigger = subgroup_closure(S3, set(gens) | {3})
     assert closed <= bigger
+
+
+def test_closure_matches_frontier_oracle():
+    # the breadth-first right-multiplication closure gives the subgroup the
+    # products-and-inverses frontier loop gives, on random generator sets
+    rnd = random.Random(5)
+    for group in (S3, sym(4), sym(5), cyclic(12), cyclic(60)):
+        for _ in range(60):
+            gens = {rnd.randrange(group.order) for _ in range(rnd.randint(0, 3))}
+            assert subgroup_closure(group, gens) == frontier_subgroup_closure(group, gens)
+    with pytest.raises(MalformedTable, match="generator 6 out of range"):
+        subgroup_closure(S3, {1, 6})
 
 
 def test_solve_preimage_examples():

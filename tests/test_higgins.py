@@ -14,10 +14,11 @@ from freedecomp import (
     theta_word,
 )
 from freedecomp import higgins
+from freedecomp.covgraph import trace
 from freedecomp.freeprod import EMPTY, invert, make_system, multiply, parse_word
 
-from conftest import Z2, s5z2_point_stabilizer, z2z3_point_stabilizer
-from naive_enum import all_edge_higgins_decompose
+from conftest import Z2, dihedral_point_stabilizer, s5z2_point_stabilizer, z2z3_point_stabilizer
+from naive_enum import all_edge_higgins_decompose, bounded_theta_tree
 
 
 def w(sys, text):
@@ -175,13 +176,12 @@ def test_tree_word_bound_zero(sys_phase2, sys_phase2_gens):
         build_theta_tree(sys_phase2, g, word_bound=0)
 
 
-def test_retry_loop_raises_after_exhaustion(sys_phase2, sys_phase2_gens):
+def test_retry_loop_raises_after_exhaustion(sys_phase2, sys_phase2_gens, monkeypatch):
     from freedecomp.conjecture import Bounds, conjecture_decompose
 
-    with pytest.raises(TreeBoundExceeded):
-        conjecture_decompose(
-            sys_phase2, sys_phase2_gens, Bounds(max_cosets=100, tree_word_bound=0, tree_retries=3)
-        )
+    monkeypatch.setattr(Bounds, "tree_word_bound", 0)
+    with pytest.raises(TreeBoundExceeded, match="all 8 transversal retries rejected"):
+        conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
 
 
 def test_tree_determinism(sys_phase2, sys_phase2_gens):
@@ -238,3 +238,90 @@ def test_forest_split_matches_all_edge_oracle(corpus):
                 assert canonical_encoding(build_core(system, fd.gens)) == canonical_encoding(build_core(system, od.gens))
             fewer += len(fd.gens) < len(od.gens)
     assert cases > 300 and fewer > 0
+
+
+def depth_oracle_cases(corpus):
+    """(system, graph, order_seed) triples: the test corpus's surjective
+    systems with order_seed 0-2, the scaling family with a fixed point of
+    Z2, S5*Z2 point stabilisers, and the dihedral stabilisers whose
+    farthest coset the depth-capped search still reaches."""
+    from freedecomp.conjecture import check_h_theta_surjective, ThetaNotSurjectiveOntoB
+
+    for inst in corpus:
+        try:
+            check_h_theta_surjective(inst.system, inst.gens, 200)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        for order_seed in range(3):
+            yield inst.system, inst.graph, order_seed
+    for n in (12, 60, 300, 1200):
+        ps = z2z3_point_stabilizer(n, fixed=(2, 0))
+        yield ps.system, complete_graph(ps.system, build_core(ps.system, ps.gens), n), 0
+    for seed in range(1, 7):
+        system, gens = s5z2_point_stabilizer(seed)
+        yield system, complete_graph(system, build_core(system, gens), 5), 0
+    for n in range(2, 67):
+        system, gens = dihedral_point_stabilizer(n)
+        yield system, complete_graph(system, build_core(system, gens), n), 0
+
+
+def test_search_matches_depth_capped_oracle(corpus):
+    # breadth-first arrivals give the same words in the same order, so
+    # wherever the depth-capped search finds a transversal, stopping once
+    # every coset has a word finds the same one
+    found = 0
+    for system, graph, order_seed in depth_oracle_cases(corpus):
+        try:
+            expected = bounded_theta_tree(system, graph, order_seed=order_seed)
+        except TreeBoundExceeded:
+            continue
+        assert build_theta_tree(system, graph, order_seed=order_seed) == expected
+        found += 1
+    assert found > 500
+
+
+def test_stage3_pairing_matches_depth_capped_oracle(corpus, monkeypatch):
+    # a small state budget stops stage 2 with cosets left, so stage 3 pairs
+    # them with base loops; ``invert`` is called only by that pairing
+    paired = 0
+    real_invert = higgins.invert
+
+    def counting_invert(*args):
+        nonlocal paired
+        paired += 1
+        return real_invert(*args)
+
+    monkeypatch.setattr(higgins, "invert", counting_invert)
+    cases = list(depth_oracle_cases(corpus))
+    for budget in (5, 20):
+        monkeypatch.setattr(higgins, "_STATE_BUDGET", budget)
+        for system, graph, order_seed in cases:
+            try:
+                expected = bounded_theta_tree(system, graph, order_seed=order_seed)
+            except TreeBoundExceeded:
+                with pytest.raises(TreeBoundExceeded):
+                    build_theta_tree(system, graph, order_seed=order_seed)
+                continue
+            tree = build_theta_tree(system, graph, order_seed=order_seed)
+            assert tree == expected
+            for v, word in enumerate(tree.transversal):
+                assert theta_word(system, word) == EMPTY
+                assert trace(graph, word, 0) == v
+    assert paired > 0
+
+
+def test_dihedral_search_reaches_past_the_old_depth_cap():
+    # the farthest coset of the index-n dihedral stabiliser is n - 2 edges
+    # from the covered vertices, beyond a depth cap of 64 from n = 67 on
+    for n in (66, 67, 100, 140):
+        system, gens = dihedral_point_stabilizer(n)
+        graph = complete_graph(system, build_core(system, gens), n)
+        if n == 66:
+            bounded_theta_tree(system, graph)
+        else:
+            with pytest.raises(TreeBoundExceeded):
+                bounded_theta_tree(system, graph)
+        tree = build_theta_tree(system, graph)
+        for v, word in enumerate(tree.transversal):
+            assert theta_word(system, word) == EMPTY
+            assert trace(graph, word, 0) == v

@@ -257,13 +257,12 @@ def test_graph_fingerprint_matches_decomposition_oracle(corpus):
 
 def renumbered(graph: CoreGraph, rnd: random.Random) -> CoreGraph:
     """The graph with its vertices other than the base renumbered at
-    random and each vertex's entries in random order."""
+    random, each vertex's entries kept in (lam, g) order as every
+    ``CoreGraph`` lists them."""
     perm = [0] + rnd.sample(range(1, graph.vertex_count), graph.vertex_count - 1)
     action = [{}] * graph.vertex_count
     for v, entries in enumerate(graph.action):
-        items = [(key, perm[w]) for key, w in entries.items()]
-        rnd.shuffle(items)
-        action[perm[v]] = dict(items)
+        action[perm[v]] = {key: perm[w] for key, w in entries.items()}
     return CoreGraph(vertex_count=graph.vertex_count, action=tuple(action), complete=graph.complete)
 
 
