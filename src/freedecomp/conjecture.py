@@ -12,17 +12,19 @@ which the verify module re-checks from scratch.
 The transversal choice is a heuristic.  Each candidate certificate is
 gated by the verifier's own checks C1-C7 on the already-built coset graph,
 and a rejected candidate is retried with permuted edge orders before
-giving up.  The coset bound is the one settable bound; the transversal
-search's image bound and the retry count are fixed constants of
-``Bounds``.
+giving up.  A search that ran dry below its state budget is not retried:
+it saw every state that any edge order reaches.  The coset bound is the
+one settable bound; the transversal search's image bound and the retry
+count are fixed constants of ``Bounds``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .covgraph import CoreGraph, build_core, complete_graph
 from .fingroup import solve_preimage
@@ -115,10 +117,12 @@ def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None
     """Full decomposition of the subgroup generated by ``h_gens``.
 
     Raises IndexBoundExceeded on the coset bound, ThetaNotSurjectiveOntoB
-    when the image precheck fails, and, when every transversal retry was
-    rejected, an error of the last retry's kind (TreeBoundExceeded,
-    CrossFactorPieceNontrivial, BetaImageNotInFactor or CertificateRejected)
-    whose message names the reason of every retry.
+    when the image precheck fails, TreeBoundExceeded when a transversal
+    search ran dry below the state budget, and, when every transversal
+    retry was rejected, an error of the last retry's kind
+    (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor or
+    CertificateRejected).  Either message names the reason of every retry
+    made.
     """
     return decompose_and_check(sys, h_gens, bounds)[0]
 
@@ -133,20 +137,27 @@ def decompose_and_check(
     graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
     check_h_theta_surjective(sys, gens, bounds.max_cosets)
 
+    digest = functools.cache(functools.partial(system_hash, sys))  # at most once, when a candidate first needs it
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
             tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
-            cert, report = _assemble(sys, graph, tree, bounds)
+            cert, report = _assemble(sys, graph, tree, digest)
             return cert, report, graph
         except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
             last = exc
             reasons.append(f"order_seed {order_seed}: {exc}")
+            if isinstance(exc, TreeBoundExceeded) and not exc.budget_hit:
+                raise TreeBoundExceeded(
+                    "transversal search ran dry below the state budget, so every edge order "
+                    "fails alike and no retry was made: " + "; ".join(reasons),
+                    budget_hit=False,
+                ) from exc
     raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
 
 
 def _assemble(
-    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, bounds: Bounds
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, digest: Callable[[], str]
 ) -> tuple[ConjectureCertificate, VerificationReport]:
     hd = higgins_decompose(sys, graph, tree)
     factor_certs: list[FactorCertificate] = []
@@ -202,7 +213,7 @@ def _assemble(
         )
 
     cert = ConjectureCertificate(
-        system_hash=system_hash(sys),
+        system_hash=digest(),
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )

@@ -39,7 +39,17 @@ _STATE_BUDGET = 500_000
 
 
 class TreeBoundExceeded(RuntimeError):
-    """No image-trivial transversal found within the configured bounds."""
+    """No image-trivial transversal found within the configured bounds.
+
+    ``budget_hit`` is False only for a search known to have run dry below
+    the state budget: it saw every reachable state, a set that does not
+    depend on the edge order, so a retry with another order fails alike.
+    The default, True, leaves a retry open.
+    """
+
+    def __init__(self, message: str, budget_hit: bool = True) -> None:
+        super().__init__(message)
+        self.budget_hit = budget_hit
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,8 @@ def build_theta_tree(
         budget = f", state budget {_STATE_BUDGET} reached" if budget_hit else ""
         missing = [v for v in range(n) if p[v] is None]
         raise TreeBoundExceeded(
-            f"no image-trivial transversal for vertices {missing} (word_bound={word_bound}{budget})"
+            f"no image-trivial transversal for vertices {missing} (word_bound={word_bound}{budget})",
+            budget_hit,
         )
     return ThetaTree(tuple(p))
 

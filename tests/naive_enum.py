@@ -26,7 +26,10 @@ and the stabilizer closure and coset table built even when there is no
 generator.
 ``cubic_associative`` and ``all_pairs_hom`` are the exhaustive group-table
 checks that Light's test and the law on generators replaced in
-``fingroup``, and ``frontier_subgroup_closure`` is ``subgroup_closure``
+``fingroup``, ``entrywise_validate_group`` (with ``entrywise_reindexed``)
+is ``validate_group`` before its checks became whole-row passes: every
+entry, identity candidate, row, column and Light product one Python step
+at a time, and ``frontier_subgroup_closure`` is ``subgroup_closure``
 before it became one breadth-first closure under right multiplication:
 products on both sides and inverses of every frontier element.
 ``object_lambda_components`` walks each lam-component into
@@ -53,7 +56,15 @@ from typing import Iterable, NamedTuple
 
 from freedecomp import covgraph, higgins
 from freedecomp.covgraph import CoreGraph, Edge, GraphNotComplete, LambdaComponent, lambda_components, membership
-from freedecomp.fingroup import FiniteGroup, MalformedTable, subgroup_closure
+from freedecomp.fingroup import (
+    FiniteGroup,
+    MalformedTable,
+    NoIdentity,
+    NotAssociative,
+    NotInvertible,
+    _generators,
+    subgroup_closure,
+)
 from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
 from freedecomp.higgins import FactorDecomposition, HigginsDecomposition, ThetaTree, TreeBoundExceeded
 from freedecomp.kurosh import DisconnectedUnion, KuroshDecomposition, KuroshPiece, kurosh_decompose
@@ -723,6 +734,65 @@ class TwoPassSaturateBuilder(covgraph._Builder):
                         self.add_edge(u, lam, g, v)
         for u in comp:
             self.dirty.discard((lam, u))
+
+
+def entrywise_reindexed(table: list[list[int]], e: int) -> list[list[int]]:
+    # Swap indices 0 and e so the identity lands at 0.
+    n = len(table)
+    sigma = list(range(n))
+    sigma[0], sigma[e] = e, 0
+    return [[sigma[table[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
+
+
+def entrywise_validate_group(table, name: str = "G") -> FiniteGroup:
+    """``fingroup.validate_group`` with a Python loop per entry: the same
+    checks in the same order, with the same exceptions and messages."""
+    n = len(table)
+    if n == 0:
+        raise MalformedTable("empty table")
+    rows = []
+    for row in table:
+        row = list(row)
+        if len(row) != n:
+            raise MalformedTable(f"table is not square: row of length {len(row)} in an order-{n} table")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                raise MalformedTable(f"entry {x!r} out of range 0..{n - 1}")
+        rows.append(row)
+
+    identity = None
+    for e in range(n):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided identity element")
+    if identity != 0:
+        rows = entrywise_reindexed(rows, identity)
+    label = {0: identity, identity: 0}
+
+    full = set(range(n))
+    for x in range(n):
+        if set(rows[x]) != full:
+            raise NotInvertible(f"row {label.get(x, x)} is not a permutation")
+        if {rows[y][x] for y in range(n)} != full:
+            raise NotInvertible(f"column {label.get(x, x)} is not a permutation")
+
+    for a in _generators(rows):
+        row_a = rows[a]
+        for x in range(n):
+            row_x = rows[x]
+            row_xa = rows[row_x[a]]
+            if row_xa != [row_x[t] for t in row_a]:
+                y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
+                x, a, y = (label.get(v, v) for v in (x, a, y))
+                raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+
+    inv = [0] * n
+    for x in range(n):
+        inv[x] = rows[x].index(0)
+
+    return FiniteGroup(order=n, mul=tuple(tuple(row) for row in rows), inv=tuple(inv), name=name)
 
 
 def cubic_associative(rows) -> tuple[int, int, int] | None:

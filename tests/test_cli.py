@@ -189,6 +189,18 @@ def test_large_tables_load_as_the_oracle_validates_them():
     assert [h.map for h in system.theta] == [tuple(range(400)), tuple(range(120))]
 
 
+@pytest.mark.parametrize("n", [fingroup.CYCLIC_MAX + 1, 10**20])
+def test_cyclic_past_its_cap_is_invalid_input_before_any_table_is_built(tmp_path, capsys, monkeypatch, n):
+    def no_table(order):
+        raise AssertionError(f"built the order-{order} table")
+
+    monkeypatch.setattr(fingroup, "_cyclic_table", no_table)
+    sys_file = write(tmp_path, "sys.json", {"factors_G": [f"cyclic {n}"], "subgroup": []})
+    assert main(["kurosh", sys_file]) == 3
+    err = capsys.readouterr().err
+    assert err == f"invalid input: cyclic(n) supports 1 <= n <= {fingroup.CYCLIC_MAX}, got {n}\n"
+
+
 def test_shorthand_groups_are_built_once(monkeypatch):
     # cyclic and sym are cached, so loading a shorthand-only system again
     # validates no table, while an explicit table is validated on every load

@@ -147,6 +147,21 @@ def test_system_hash_sensitivity(sys_a, sys_b):
     assert system_hash(sys_a) != system_hash(sys_b)
 
 
+def test_system_hash_is_computed_at_most_once_per_decompose(sys_a, sys_a_gens, monkeypatch):
+    # every candidate fails the C1-C7 gate after assembly, so all 8 reach
+    # the certificate, and they share one hash
+    from freedecomp import conjecture
+    from freedecomp.conjecture import CertificateRejected
+    from freedecomp.verify import VerificationReport
+
+    calls = []
+    monkeypatch.setattr(conjecture, "system_hash", lambda s: calls.append(s) or system_hash(s))
+    monkeypatch.setattr(conjecture, "check_certificate", lambda *a: VerificationReport(checks=(), verdict=False))
+    with pytest.raises(CertificateRejected, match="all 8 transversal retries rejected"):
+        decompose_and_check(sys_a, sys_a_gens)
+    assert calls == [sys_a]
+
+
 def test_canonical_generators():
     assert canonical_generators([(), ((0, 1),), ((0, 1),)]) == (((0, 1),),)
     assert canonical_generators([((1, 1),), ((0, 1),)]) == (((0, 1),), ((1, 1),))

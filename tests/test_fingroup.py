@@ -4,7 +4,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freedecomp import fingroup
 from freedecomp.fingroup import (
+    GroupTableError,
     MalformedTable,
     NoIdentity,
     NoPreimage,
@@ -23,7 +25,13 @@ from freedecomp.fingroup import (
 )
 
 from conftest import NONASSOC_LOOP, S3, Z2, Z3, Z4, relabel, sign_map, sign_map_s3
-from naive_enum import all_pairs_hom, cubic_associative, frontier_subgroup_closure, subgroup_conjugacy_key
+from naive_enum import (
+    all_pairs_hom,
+    cubic_associative,
+    entrywise_validate_group,
+    frontier_subgroup_closure,
+    subgroup_conjugacy_key,
+)
 
 
 def test_validate_z2():
@@ -260,6 +268,81 @@ def test_one_switched_intercalate_is_caught(group, data):
     table[x2][y], table[x2][y2] = table[x2][y2], table[x2][y]
     perm = data.draw(st.permutations(range(group.order)))
     _assert_associativity_agrees(relabel(table, perm))
+
+
+def _outcome(validate, table):
+    """The group ``validate`` returns, or the class and message it raises."""
+    try:
+        return validate(table, name="T")
+    except GroupTableError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_entrywise_oracle(table) -> None:
+    assert _outcome(validate_group, table) == _outcome(entrywise_validate_group, table)
+
+
+class _Int(int):
+    """An int subclass: accepted as an entry, unlike bool."""
+
+
+_VALID_TABLES = st.one_of(
+    st.sampled_from([cyclic(n) for n in range(1, 41)] + [sym(n) for n in range(1, 6)]).map(
+        lambda g: _tables([g])[0]
+    ),
+    st.permutations(range(24)).filter(lambda p: p[0] != 0).map(lambda p: relabel(sym(4).mul, p)),
+    st.permutations(range(120)).filter(lambda p: p[0] != 0).map(lambda p: relabel(sym(5).mul, p)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=_VALID_TABLES,
+    corruption=st.sampled_from(["none", "entry", "short", "long", "repeat", "column"]),
+    data=st.data(),
+)
+def test_whole_row_checks_match_the_entrywise_oracle(table, corruption, data):
+    # One corruption at a time: the whole-row passes return the same group
+    # as the entry-by-entry loops, or raise the same class and message.
+    n = len(table)
+    x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if corruption in ("repeat", "column"):
+        if n == 1:
+            return
+        y2 = data.draw(st.integers(0, n - 1).filter(lambda v: v != y))
+    if corruption == "entry":
+        table[x][y] = data.draw(st.sampled_from([True, 1.0, "1", None, -1, n, _Int(table[x][y])]))
+    elif corruption == "short":
+        table[x].pop()
+    elif corruption == "long":
+        table[x].append(table[x][y])
+    elif corruption == "repeat":
+        table[x][y] = table[x][y2]
+    elif corruption == "column":  # row x stays a permutation; columns y and y2 do not
+        table[x][y], table[x][y2] = table[x][y2], table[x][y]
+    _assert_matches_entrywise_oracle(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=st.sampled_from([cyclic(4), cyclic(6), cyclic(8), sym(3), sym(4)]), data=st.data())
+def test_whole_row_checks_match_the_entrywise_oracle_on_loops(group, data):
+    # the non-associative loop and switched intercalates, relabelled
+    if data.draw(st.booleans()):
+        table = [list(row) for row in NONASSOC_LOOP]
+    else:
+        table = _tables([group])[0]
+        x, x2, y, y2 = data.draw(st.sampled_from(_intercalates(table)))
+        table[x][y], table[x][y2] = table[x][y2], table[x][y]
+        table[x2][y], table[x2][y2] = table[x2][y2], table[x2][y]
+    perm = data.draw(st.permutations(range(len(table))))
+    _assert_matches_entrywise_oracle(relabel(table, perm))
+
+
+def test_rotated_cyclic_table_is_the_sum_table():
+    for n in range(1, 65):
+        sums = [[(i + j) % n for j in range(n)] for i in range(n)]
+        assert fingroup._cyclic_table(n) == sums
+        assert cyclic(n).mul == tuple(map(tuple, sums))
 
 
 def _assert_law_agrees(source, target, m) -> None:

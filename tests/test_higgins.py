@@ -177,11 +177,36 @@ def test_tree_word_bound_zero(sys_phase2, sys_phase2_gens):
 
 
 def test_retry_loop_raises_after_exhaustion(sys_phase2, sys_phase2_gens, monkeypatch):
+    # a search that runs dry is not retried; one the state budget stops is
     from freedecomp.conjecture import Bounds, conjecture_decompose
 
     monkeypatch.setattr(Bounds, "tree_word_bound", 0)
-    with pytest.raises(TreeBoundExceeded, match="all 8 transversal retries rejected"):
+    with pytest.raises(TreeBoundExceeded, match="no retry was made: order_seed 0: no image-trivial") as dry:
         conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
+    assert "order_seed 1" not in str(dry.value) and not dry.value.budget_hit
+    monkeypatch.undo()
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
+    with pytest.raises(TreeBoundExceeded, match="all 8 transversal retries rejected") as stopped:
+        conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
+    assert str(stopped.value).count("state budget 1 reached") == 8 and stopped.value.budget_hit
+
+
+def test_a_dry_search_fails_alike_in_every_edge_order(corpus):
+    # without the state budget the search visits every reachable state, so
+    # the cosets it leaves without a word do not depend on the edge order
+    dry = 0
+    for inst in corpus[:60]:
+        for word_bound in (0, 1):
+            try:
+                build_theta_tree(inst.system, inst.graph, word_bound=word_bound)
+            except TreeBoundExceeded as exc:
+                assert not exc.budget_hit
+                for order_seed in range(1, 8):
+                    with pytest.raises(TreeBoundExceeded) as again:
+                        build_theta_tree(inst.system, inst.graph, word_bound=word_bound, order_seed=order_seed)
+                    assert str(again.value) == str(exc)
+                dry += 1
+    assert dry > 10
 
 
 def test_tree_determinism(sys_phase2, sys_phase2_gens):
