@@ -7,11 +7,9 @@ verifies the resulting certificates independently.
 """
 
 from .conjecture import (
-    BetaImageNotInFactor,
     Bounds,
     CertificateRejected,
     ConjectureCertificate,
-    CrossFactorPieceNontrivial,
     FactorCertificate,
     ThetaNotSurjectiveOntoB,
     conjecture_decompose,

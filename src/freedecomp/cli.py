@@ -16,11 +16,9 @@ import sys as _sys
 from pathlib import Path
 
 from .conjecture import (
-    BetaImageNotInFactor,
     Bounds,
     CertificateRejected,
     ConjectureCertificate,
-    CrossFactorPieceNontrivial,
     FactorCertificate,
     ThetaNotSurjectiveOntoB,
     decompose_and_check,
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"invalid input: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    except (CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
+    except CertificateRejected as exc:
         print(f"decomposition failed: {exc}", file=_sys.stderr)
         return EXIT_VERIFY_FAILED
     except Exception as exc:

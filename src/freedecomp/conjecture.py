@@ -10,40 +10,31 @@ and free bases) with the transversal and the corrections that led to it,
 which the verify module re-checks from scratch.
 
 The transversal choice is a heuristic.  Each candidate certificate is
-gated by the verifier's own checks C1-C7 on the already-built coset graph,
-and a rejected candidate is retried with permuted edge orders before
-giving up.  A search that ran dry below its state budget is not retried:
-it saw every state that any edge order reaches.  The coset bound is the
-one settable bound; the transversal search's image bound and the retry
-count are fixed constants of ``Bounds``.
+judged by the verifier's checks C1-C7 alone, run on the already-built
+coset graph, and a rejected candidate is retried with permuted edge
+orders before giving up.  A search that ran dry below its state budget is
+not retried: it saw every state that any edge order reaches.  The coset
+bound is the one settable bound; the transversal search's image bound and
+the retry count are fixed constants of ``Bounds``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, ClassVar
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .covgraph import CoreGraph, build_core, complete_graph
 from .fingroup import solve_preimage
-from .freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word, theta_word
+from .freeprod import FactorSystem, Word, invert, multiply, syllable_word, theta_word
 from .higgins import ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
-from .kurosh import KuroshDecomposition, kurosh_decompose
+from .kurosh import kurosh_decompose
 from .verify import VerificationReport, check_certificate
 
 
 class ThetaNotSurjectiveOntoB(RuntimeError):
     """The subgroup's image does not generate all of B."""
-
-
-class CrossFactorPieceNontrivial(RuntimeError):
-    """A per-factor subgroup produced a piece in a foreign factor."""
-
-
-class BetaImageNotInFactor(RuntimeError):
-    """A piece representative's image is not a single factor element."""
 
 
 class CertificateRejected(RuntimeError):
@@ -120,9 +111,8 @@ def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None
     when the image precheck fails, TreeBoundExceeded when a transversal
     search ran dry below the state budget, and, when every transversal
     retry was rejected, an error of the last retry's kind
-    (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor or
-    CertificateRejected).  Either message names the reason of every retry
-    made.
+    (TreeBoundExceeded or CertificateRejected).  Either message names the
+    reason of every retry made.
     """
     return decompose_and_check(sys, h_gens, bounds)[0]
 
@@ -137,14 +127,13 @@ def decompose_and_check(
     graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
     check_h_theta_surjective(sys, gens, bounds.max_cosets)
 
-    digest = functools.cache(functools.partial(system_hash, sys))  # at most once, when a candidate first needs it
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
             tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
-            cert, report = _assemble(sys, graph, tree, digest)
-            return cert, report, graph
-        except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
+            cert, report = _assemble(sys, graph, tree)
+            return replace(cert, system_hash=system_hash(sys)), report, graph
+        except (TreeBoundExceeded, CertificateRejected) as exc:
             last = exc
             reasons.append(f"order_seed {order_seed}: {exc}")
             if isinstance(exc, TreeBoundExceeded) and not exc.budget_hit:
@@ -157,66 +146,57 @@ def decompose_and_check(
 
 
 def _assemble(
-    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, digest: Callable[[], str]
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree
 ) -> tuple[ConjectureCertificate, VerificationReport]:
+    """The certificate of one transversal candidate, without its system
+    hash, and its passing report.
+
+    Each Kurosh piece of H_lam is listed under its own factor, and its
+    representative beta' is corrected only when theta(beta') is a single
+    element of that factor; otherwise x = beta' with an empty correction.
+    The candidate is judged by checks C1-C7 alone: a failure raises
+    CertificateRejected naming the failed checks.
+    """
     hd = higgins_decompose(sys, graph, tree)
-    factor_certs: list[FactorCertificate] = []
-
-    for lam in range(sys.num_factors):
-        fd = hd.factors[lam]
-        if fd.gens:
-            kd = kurosh_decompose(sys, build_core(sys, fd.gens))
-        else:
-            kd = KuroshDecomposition(pieces=(), free_basis=(), free_rank=0)
-
-        group = sys.factors_g[lam]
-        beta_primes: list[Word] = []
-        g_corrections: list[Word] = []
-        reps: list[Word] = []
-        vertex_groups: list[tuple[Word, ...]] = []
+    k = sys.num_factors
+    beta_primes, g_corrections, reps, vertex_groups = ([[] for _ in range(k)] for _ in range(4))
+    free_bases: list[tuple[Word, ...]] = [()] * k
+    for fd in hd.factors:
+        if not fd.gens:
+            continue
+        kd = kurosh_decompose(sys, build_core(sys, fd.gens))
+        free_bases[fd.lam] = kd.free_basis
         for piece in kd.pieces:
-            if piece.lam != lam:
-                raise CrossFactorPieceNontrivial(
-                    f"H_{lam} has a nontrivial piece in factor {piece.lam}: rep {piece.rep}"
-                )
-            beta_prime = piece.rep
+            lam, beta_prime = piece.lam, piece.rep
             image = theta_word(sys, beta_prime)
-            if image == EMPTY:
-                g_word: Word = EMPTY
-                g_elem = 0
-            elif len(image) == 1 and image[0][0] == lam:
+            g_elem = 0
+            if len(image) == 1 and image[0][0] == lam:
                 g_elem = solve_preimage(sys.theta[lam], image[0][1])
-                g_word = syllable_word(lam, g_elem)
-            else:
-                raise BetaImageNotInFactor(f"image of {beta_prime} is {image}, not inside factor {lam}")
-            x = multiply(sys, "G", invert(sys, "G", g_word), beta_prime)
-            assert theta_word(sys, x) == EMPTY
+            g_word = syllable_word(lam, g_elem)
             # the piece's word beta'^-1 s beta' for s is x^-1 (g^-1 s g) x,
             # so the vertex group lists the piece's words by g^-1 s g
+            group = sys.factors_g[lam]
             ginv = group.inv[g_elem]
             conj = (group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer[1:])
-            vg = tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens)))
-            beta_primes.append(beta_prime)
-            g_corrections.append(g_word)
-            reps.append(x)
-            vertex_groups.append(vg)
+            beta_primes[lam].append(beta_prime)
+            g_corrections[lam].append(g_word)
+            reps[lam].append(multiply(sys, "G", invert(sys, "G", g_word), beta_prime))
+            vertex_groups[lam].append(tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens))))
 
-        factor_certs.append(
-            FactorCertificate(
-                lam=lam,
-                beta_primes=tuple(beta_primes),
-                g_corrections=tuple(g_corrections),
-                reps=tuple(reps),
-                vertex_groups=tuple(vertex_groups),
-                f_basis=kd.free_basis,
-            )
+    factors = tuple(
+        FactorCertificate(
+            lam=lam,
+            beta_primes=tuple(beta_primes[lam]),
+            g_corrections=tuple(g_corrections[lam]),
+            reps=tuple(reps[lam]),
+            vertex_groups=tuple(vertex_groups[lam]),
+            f_basis=free_bases[lam],
         )
-
-    cert = ConjectureCertificate(
-        system_hash=digest(),
-        factors=tuple(factor_certs),
-        tree_transversal=tree.transversal,
+        for lam in range(k)
     )
+    # check_certificate reads no system hash, so only the accepted
+    # certificate is hashed, by the caller
+    cert = ConjectureCertificate(system_hash="", factors=factors, tree_transversal=tree.transversal)
     report = check_certificate(sys, graph, cert)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")

@@ -144,7 +144,6 @@ class _Builder:
     """
 
     def __init__(self, sys: FactorSystem):
-        self.sys = sys
         self.groups = sys.factors_g
         self.parent: list[int] = []
         self.adj: list[dict] = []

@@ -232,9 +232,6 @@ class GroupHom:
     target: FiniteGroup
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
     """Check map[0] = 0, the homomorphism law and surjectivity.

@@ -21,6 +21,7 @@ from freedecomp import (
     make_system,
     normalize,
     parse_word,
+    subgroup_closure,
     sym,
 )
 from freedecomp.covgraph import CoreGraph
@@ -282,6 +283,100 @@ def dihedral_point_stabilizer(n: int):
             if s:
                 gens.setdefault(s)
     return system, tuple(gens)
+
+
+def _random_factor_action(rnd: random.Random, group, m: int) -> list[list[int]]:
+    """A right action ``act[g][point]`` of ``group`` on m shuffled points,
+    orbit by orbit: each orbit is the right-coset action on the subgroup
+    that up to two random elements generate, drawn again when it does not
+    fit."""
+    points = rnd.sample(range(m), m)
+    act = [[0] * m for _ in range(group.order)]
+    pos = 0
+    while pos < m:
+        sub = subgroup_closure(group, [rnd.randrange(group.order) for _ in range(rnd.randint(0, 2))])
+        if pos + group.order // len(sub) > m:
+            continue
+        cosets = sorted({frozenset(group.mul[s][x] for s in sub) for x in range(group.order)}, key=min)
+        where = {y: i for i, coset in enumerate(cosets) for y in coset}
+        for i, coset in enumerate(cosets):
+            for g in range(group.order):
+                act[g][points[pos + i]] = points[pos + where[group.mul[min(coset)][g]]]
+        pos += len(cosets)
+    return act
+
+
+def _maps_onto_b(system: FactorSystem, perms: dict, m: int) -> bool:
+    """theta(H) = B for the point stabiliser H exactly when ker(theta) is
+    transitive on the points: the smallest G-invariant equivalence that
+    relates p to p k for every k in a factor kernel has one class."""
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = [(p, perm[p]) for (lam, g), perm in perms.items() if system.theta[lam].map[g] == 0 for p in range(m)]
+    classes = m
+    while pairs:
+        a, b = pairs.pop()
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            classes -= 1
+            pairs.extend((perm[a], perm[b]) for perm in perms.values())
+    return classes == 1
+
+
+def six_shape_family(seed: int, per_shape: int, max_index: int = 12):
+    """Six shapes of two factors, each onto Z2 * Z2: S3*S3
+    (sign, sign), S3*Z2 (sign, id), S3*Z4 (sign, mod 2), S4*Z2 (sign, id),
+    S5*Z2 (sign, id) and Z4*Z4 (mod 2, mod 2).  Per shape, ``per_shape``
+    subgroups H, each the stabiliser of point 0 under a random transitive
+    action on 4 to ``max_index`` points for which H maps onto B, given by
+    its Schreier generators over a breadth-first tree.  Returns
+    (shape, system, generators) triples."""
+    z4_mod2 = [0, 1, 0, 1]
+    shapes = [
+        ("S3*S3", [S3, S3], [sign_map(3), sign_map(3)]),
+        ("S3*Z2", [S3, Z2], [sign_map(3), [0, 1]]),
+        ("S3*Z4", [S3, Z4], [sign_map(3), z4_mod2]),
+        ("S4*Z2", [sym(4), Z2], [sign_map(4), [0, 1]]),
+        ("S5*Z2", [sym(5), Z2], [sign_map(5), [0, 1]]),
+        ("Z4*Z4", [Z4, Z4], [z4_mod2, z4_mod2]),
+    ]
+    rnd = random.Random(seed)
+    out = []
+    for name, factors, maps in shapes:
+        system = make_system(factors, [Z2, Z2], maps)
+        drawn = 0
+        while drawn < per_shape:
+            m = rnd.randint(4, max_index)
+            perms = {
+                (lam, g): perm
+                for lam, group in enumerate(factors)
+                for g, perm in enumerate(_random_factor_action(rnd, group, m))
+                if g
+            }
+            word = {0: ()}
+            order = [0]
+            for u in order:  # grows while the walk discovers points
+                for syl, perm in perms.items():
+                    if perm[u] not in word:
+                        word[perm[u]] = normalize(system, "G", word[u] + (syl,))
+                        order.append(perm[u])
+            if len(order) < m or not _maps_onto_b(system, perms, m):
+                continue
+            gens = {}
+            for u in order:
+                for syl, perm in perms.items():
+                    s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+                    if s:
+                        gens.setdefault(s)
+            out.append((name, system, tuple(gens)))
+            drawn += 1
+    return out
 
 
 def enumerate_ball(system: FactorSystem, maxlen: int):

@@ -46,6 +46,11 @@ all those edges, not only of the forest's tree edges and root loops.
 its depth cap: it expands no state more than ``extension_bound`` edges
 from the covered vertices, keeps searching after every vertex has a word,
 and records every arrival as it goes.
+``gated_decompose_and_check`` is ``decompose_and_check`` when
+``_assemble`` still gated each candidate before the checks: it raised
+``CrossFactorPieceNontrivial`` on a piece of H_lam in a foreign factor and
+``BetaImageNotInFactor`` on a representative whose image is not a single
+element of its factor, where ``_assemble`` now leaves both to C1-C7.
 """
 
 from __future__ import annotations
@@ -55,7 +60,25 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from freedecomp import covgraph, higgins
-from freedecomp.covgraph import CoreGraph, Edge, GraphNotComplete, LambdaComponent, lambda_components, membership
+from freedecomp.conjecture import (
+    Bounds,
+    CertificateRejected,
+    ConjectureCertificate,
+    FactorCertificate,
+    canonical_generators,
+    check_h_theta_surjective,
+    system_hash,
+)
+from freedecomp.covgraph import (
+    CoreGraph,
+    Edge,
+    GraphNotComplete,
+    LambdaComponent,
+    build_core,
+    complete_graph,
+    lambda_components,
+    membership,
+)
 from freedecomp.fingroup import (
     FiniteGroup,
     MalformedTable,
@@ -63,11 +86,20 @@ from freedecomp.fingroup import (
     NotAssociative,
     NotInvertible,
     _generators,
+    solve_preimage,
     subgroup_closure,
 )
-from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word
-from freedecomp.higgins import FactorDecomposition, HigginsDecomposition, ThetaTree, TreeBoundExceeded
+from freedecomp.freeprod import EMPTY, FactorSystem, Word, invert, multiply, syllable_word, theta_word
+from freedecomp.higgins import (
+    FactorDecomposition,
+    HigginsDecomposition,
+    ThetaTree,
+    TreeBoundExceeded,
+    build_theta_tree,
+    higgins_decompose,
+)
 from freedecomp.kurosh import DisconnectedUnion, KuroshDecomposition, KuroshPiece, kurosh_decompose
+from freedecomp.verify import VerificationReport, check_certificate
 
 
 class EnumerationOverflow(Exception):
@@ -838,3 +870,106 @@ def frontier_subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> frozen
                     nxt.append(c)
         frontier = sorted(nxt)
     return frozenset(closed)
+
+
+class CrossFactorPieceNontrivial(RuntimeError):
+    """A per-factor subgroup produced a piece in a foreign factor."""
+
+
+class BetaImageNotInFactor(RuntimeError):
+    """A piece representative's image is not a single factor element."""
+
+
+def gated_decompose_and_check(
+    sys: FactorSystem, h_gens, bounds: Bounds | None = None
+) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
+    """``decompose_and_check`` with ``_assemble``'s two gates before C1-C7."""
+    bounds = bounds or Bounds()
+    gens = canonical_generators(h_gens)
+    graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
+    check_h_theta_surjective(sys, gens, bounds.max_cosets)
+
+    reasons: list[str] = []
+    for order_seed in range(bounds.tree_retries):
+        try:
+            tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
+            cert, report = _gated_assemble(sys, graph, tree)
+            return cert, report, graph
+        except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
+            last = exc
+            reasons.append(f"order_seed {order_seed}: {exc}")
+            if isinstance(exc, TreeBoundExceeded) and not exc.budget_hit:
+                raise TreeBoundExceeded(
+                    "transversal search ran dry below the state budget, so every edge order "
+                    "fails alike and no retry was made: " + "; ".join(reasons),
+                    budget_hit=False,
+                ) from exc
+    raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
+
+
+def _gated_assemble(
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree
+) -> tuple[ConjectureCertificate, VerificationReport]:
+    hd = higgins_decompose(sys, graph, tree)
+    factor_certs: list[FactorCertificate] = []
+
+    for lam in range(sys.num_factors):
+        fd = hd.factors[lam]
+        for w in fd.gens:
+            assert all(l2 == lam for l2, _ in theta_word(sys, w))
+        if fd.gens:
+            kd = kurosh_decompose(sys, build_core(sys, fd.gens))
+        else:
+            kd = KuroshDecomposition(pieces=(), free_basis=(), free_rank=0)
+
+        group = sys.factors_g[lam]
+        beta_primes: list[Word] = []
+        g_corrections: list[Word] = []
+        reps: list[Word] = []
+        vertex_groups: list[tuple[Word, ...]] = []
+        for piece in kd.pieces:
+            if piece.lam != lam:
+                raise CrossFactorPieceNontrivial(
+                    f"H_{lam} has a nontrivial piece in factor {piece.lam}: rep {piece.rep}"
+                )
+            beta_prime = piece.rep
+            image = theta_word(sys, beta_prime)
+            if image == EMPTY:
+                g_word: Word = EMPTY
+                g_elem = 0
+            elif len(image) == 1 and image[0][0] == lam:
+                g_elem = solve_preimage(sys.theta[lam], image[0][1])
+                g_word = syllable_word(lam, g_elem)
+            else:
+                raise BetaImageNotInFactor(f"image of {beta_prime} is {image}, not inside factor {lam}")
+            x = multiply(sys, "G", invert(sys, "G", g_word), beta_prime)
+            assert theta_word(sys, x) == EMPTY
+            ginv = group.inv[g_elem]
+            conj = (group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer[1:])
+            vg = tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens)))
+            beta_primes.append(beta_prime)
+            g_corrections.append(g_word)
+            reps.append(x)
+            vertex_groups.append(vg)
+
+        factor_certs.append(
+            FactorCertificate(
+                lam=lam,
+                beta_primes=tuple(beta_primes),
+                g_corrections=tuple(g_corrections),
+                reps=tuple(reps),
+                vertex_groups=tuple(vertex_groups),
+                f_basis=kd.free_basis,
+            )
+        )
+
+    cert = ConjectureCertificate(
+        system_hash=system_hash(sys),
+        factors=tuple(factor_certs),
+        tree_transversal=tree.transversal,
+    )
+    report = check_certificate(sys, graph, cert)
+    if not report.verdict:
+        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+        raise CertificateRejected(f"failed {failed}")
+    return cert, report

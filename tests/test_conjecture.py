@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,10 +13,18 @@ from freedecomp import (
     theta_word,
 )
 from freedecomp.cli import certificate_to_json
-from freedecomp.conjecture import Bounds, canonical_generators, check_h_theta_surjective, decompose_and_check
+from freedecomp.conjecture import (
+    Bounds,
+    CertificateRejected,
+    canonical_generators,
+    check_h_theta_surjective,
+    decompose_and_check,
+)
 from freedecomp.freeprod import EMPTY, invert, make_system, parse_word
+from freedecomp.higgins import TreeBoundExceeded
 
-from conftest import S3, TRIV, Z2, sign_map_s3, z2z3_point_stabilizer
+from conftest import S3, TRIV, Z2, sign_map_s3, six_shape_family, z2z3_point_stabilizer
+from naive_enum import BetaImageNotInFactor, CrossFactorPieceNontrivial, gated_decompose_and_check
 
 
 def w(sys, text):
@@ -148,18 +157,21 @@ def test_system_hash_sensitivity(sys_a, sys_b):
 
 
 def test_system_hash_is_computed_at_most_once_per_decompose(sys_a, sys_a_gens, monkeypatch):
-    # every candidate fails the C1-C7 gate after assembly, so all 8 reach
-    # the certificate, and they share one hash
+    # C1-C7 read no hash, so only the accepted certificate is hashed
     from freedecomp import conjecture
-    from freedecomp.conjecture import CertificateRejected
     from freedecomp.verify import VerificationReport
 
     calls = []
     monkeypatch.setattr(conjecture, "system_hash", lambda s: calls.append(s) or system_hash(s))
+    cert, report, _ = decompose_and_check(sys_a, sys_a_gens)
+    assert report.verdict and cert.system_hash == system_hash(sys_a)
+    assert calls == [sys_a]
+
+    calls.clear()
     monkeypatch.setattr(conjecture, "check_certificate", lambda *a: VerificationReport(checks=(), verdict=False))
     with pytest.raises(CertificateRejected, match="all 8 transversal retries rejected"):
         decompose_and_check(sys_a, sys_a_gens)
-    assert calls == [sys_a]
+    assert calls == []
 
 
 def test_canonical_generators():
@@ -177,3 +189,35 @@ def test_decompose_at_index_1200():
     assert [len(vg) for vg in fc0.vertex_groups] == [1, 1] and len(fc0.f_basis) == 198
     assert [len(vg) for vg in fc1.vertex_groups] == [2, 2, 2] and fc1.f_basis == ()
     assert ps.free_rank == 198
+
+
+def _outcome(decompose, system, gens, rejections):
+    """("accepted", certificate bytes) or (error kind, {order_seed: reason})."""
+    try:
+        cert, report, _ = decompose(system, gens)
+    except rejections as exc:
+        return type(exc), dict(re.findall(r"order_seed (\d+): (.*?)(?=; order_seed \d+: |$)", str(exc)))
+    assert report.verdict
+    return "accepted", cert_bytes(cert)
+
+
+def test_checks_alone_reject_what_the_gated_assembly_rejected():
+    # the gates raised before a candidate reached C1-C7; without them the
+    # same candidates fail C1-C7 instead, and every other outcome is equal
+    gates = (CrossFactorPieceNontrivial, BetaImageNotInFactor)
+    kinds = set()
+    for shape, system, gens in six_shape_family(seed=31, per_shape=4, max_index=16):
+        old = _outcome(gated_decompose_and_check, system, gens, (TreeBoundExceeded, CertificateRejected, *gates))
+        new = _outcome(decompose_and_check, system, gens, (TreeBoundExceeded, CertificateRejected))
+        kinds.add(old[0])
+        if old[0] == "accepted":
+            assert new == old, shape
+            continue
+        assert new[0] is (CertificateRejected if old[0] in gates else old[0]), shape
+        assert new[1].keys() == old[1].keys(), shape
+        for order_seed, reason in old[1].items():
+            if "has a nontrivial piece in factor" in reason or "not inside factor" in reason:
+                assert new[1][order_seed].startswith("failed C"), shape
+            else:
+                assert new[1][order_seed] == reason, shape
+    assert {"accepted", CertificateRejected, *gates} <= kinds
