@@ -1,10 +1,13 @@
 """Command-line interface: JSON in, certificates/reports/DOT out.
 
 Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
-exceeded, 3 invalid input (including command-line usage errors and output
-paths that cannot be written; ``decompose`` then removes the outputs it
-already wrote), 4 internal error (an uncaught exception,
-reported as ``internal error: <type>: <msg>``).
+exceeded (the coset bound of ``graph --complete``, or the transversal
+search's state budget in ``decompose``), 3 invalid input (including
+command-line usage errors and output paths that cannot be written;
+``decompose`` then removes the outputs it already wrote), 4 internal error
+(an uncaught exception, reported as ``internal error: <type>: <msg>``).
+``decompose``, ``verify`` and ``kurosh`` work on H's core, which is never
+completed, so they take no coset bound and accept H of infinite index.
 """
 
 from __future__ import annotations
@@ -168,12 +171,14 @@ def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertifi
         except (ValueError, TypeError) as exc:
             raise MalformedCertificate(str(exc)) from exc
 
+    # the provenance keys (beta_primes, g_corrections, tree_transversal)
+    # are optional: no check reads them
     try:
         factors = tuple(
             FactorCertificate(
                 lam=fc["lam"],
-                beta_primes=words(fc["beta_primes"]),
-                g_corrections=words(fc["g_corrections"]),
+                beta_primes=words(fc.get("beta_primes", [])),
+                g_corrections=words(fc.get("g_corrections", [])),
                 reps=words(fc["reps"]),
                 vertex_groups=tuple(words(vg) for vg in fc["vertex_groups"]),
                 f_basis=words(fc["f_basis"]),
@@ -183,7 +188,7 @@ def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertifi
         return ConjectureCertificate(
             system_hash=data["system_hash"],
             factors=factors,
-            tree_transversal=words(data["tree_transversal"]),
+            tree_transversal=words(data.get("tree_transversal", [])),
         )
     except (KeyError, TypeError) as exc:
         raise MalformedCertificate(f"certificate JSON malformed: {exc}") from exc
@@ -221,9 +226,8 @@ def kurosh_to_json(decomp) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    system, gens, bounds = load_system(_read_json(args.system))
-    bounds = _merge_bounds(bounds, args)
-    cert, report, graph = decompose_and_check(system, gens, bounds)
+    system, gens, _ = load_system(_read_json(args.system))
+    cert, report, graph = decompose_and_check(system, gens)
     outputs = [(args.output, _dump(certificate_to_json(cert)))]
     if args.dot:
         outputs.append((args.dot, to_dot(graph)))
@@ -235,19 +239,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_kurosh(args) -> int:
-    system, gens, bounds = load_system(_read_json(args.system))
-    bounds = _merge_bounds(bounds, args)
-    graph = complete_graph(system, build_core(system, gens), bounds.max_cosets)
-    decomp = kurosh_decompose(system, graph)
+    system, gens, _ = load_system(_read_json(args.system))
+    decomp = kurosh_decompose(system, build_core(system, gens))
     _write(args.output, _dump(kurosh_to_json(decomp)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    system, gens, bounds = load_system(_read_json(args.system))
-    bounds = _merge_bounds(bounds, args)
+    system, gens, _ = load_system(_read_json(args.system))
     cert = certificate_from_json(system, _read_json(args.certificate))
-    report = verify_certificate(system, gens, cert, max_cosets=bounds.max_cosets)
+    report = verify_certificate(system, gens, cert)
     if args.output:
         _write(args.output, _dump(report_to_json(report)))
     print(report.summary())
@@ -256,10 +257,11 @@ def cmd_verify(args) -> int:
 
 def cmd_graph(args) -> int:
     system, gens, bounds = load_system(_read_json(args.system))
-    bounds = _merge_bounds(bounds, args)
+    # the file's bound, overridden by --max-cosets where given
+    max_cosets = bounds.max_cosets if args.max_cosets is None else _bound(args.max_cosets, "max_cosets", 1)
     graph = build_core(system, gens)
     if args.complete:
-        graph = complete_graph(system, graph, bounds.max_cosets)
+        graph = complete_graph(system, graph, max_cosets)
     _write(args.dot, to_dot(graph))
     return EXIT_OK
 
@@ -279,17 +281,6 @@ def cmd_member(args) -> int:
     return EXIT_OK
 
 
-def _merge_bounds(bounds: Bounds, args) -> Bounds:
-    """The file's bounds, overridden by ``--max-cosets`` where given."""
-    if args.max_cosets is None:
-        return bounds
-    return Bounds(max_cosets=_bound(args.max_cosets, "max_cosets", 1))
-
-
-def _add_max_cosets_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-cosets", type=int, default=None, help="coset bound for completions (default 10000)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -302,28 +293,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("-o", "--output", default="certificate.json")
     p.add_argument("--report", default=None, help="also write the report as JSON")
-    p.add_argument("--dot", default=None, help="write the coset graph as DOT")
-    _add_max_cosets_flag(p)
+    p.add_argument("--dot", default=None, help="write the core of the subgroup as DOT")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("kurosh", help="free-product decomposition of a subgroup")
     p.add_argument("system")
     p.add_argument("-o", "--output", default="-")
-    _add_max_cosets_flag(p)
     p.set_defaults(fn=cmd_kurosh)
 
     p = sub.add_parser("verify", help="re-verify a certificate")
     p.add_argument("system")
     p.add_argument("certificate")
     p.add_argument("-o", "--output", default=None)
-    _add_max_cosets_flag(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("graph", help="emit the subgroup graph as DOT")
     p.add_argument("system")
     p.add_argument("--complete", action="store_true", help="complete to the full coset graph first")
     p.add_argument("--dot", default="-", help="output path (default stdout)")
-    _add_max_cosets_flag(p)
+    p.add_argument("--max-cosets", type=int, default=None, help="coset bound for --complete (default 10000)")
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("normalform", help="normal form of a word")

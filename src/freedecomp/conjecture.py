@@ -1,21 +1,23 @@
 """Factor-wise free decomposition pipeline with image-trivial representatives.
 
-Pipeline: complete the coset graph of H, choose an image-trivial
-transversal, split H into per-factor subgroups H_lam, decompose each H_lam
+Pipeline: build H's core, choose an image-trivial transversal of its
+vertices, split H into per-factor subgroups H_lam, decompose each H_lam
 into vertex-group pieces plus a free part, then correct each piece
 representative beta' by a factor element g with equal image so that
 x = g^-1 beta' dies in B while conjugating the factor identically.  The
 result is a certificate carrying the claim (representatives, vertex groups
-and free bases) with the transversal and the corrections that led to it,
-which the verify module re-checks from scratch.
+and free bases), which the verify module re-checks from scratch, with the
+transversal and the corrections that led to it, which no check reads.
 
-The transversal choice is a heuristic.  Each candidate certificate is
-judged by the verifier's checks C1-C7 alone, run on the already-built
-coset graph, and a rejected candidate is retried with permuted edge
-orders before giving up.  A search that ran dry below its state budget is
-not retried: it saw every state that any edge order reaches.  The coset
-bound is the one settable bound; the transversal search's image bound and
-the retry count are fixed constants of ``Bounds``.
+H's core is the only graph: it is never completed, so H may have
+infinite index, and its size is bounded by the generators' syllables (see
+the verify module docstring).  The transversal choice is a heuristic.
+Each candidate certificate is judged by the verifier's checks C1-C7 alone,
+run on the already-built core, and a rejected candidate is retried with
+permuted edge orders before giving up.  A search that ran dry below its
+state budget is not retried: it saw every state that any edge order
+reaches.  The transversal search's image bound and the retry count are
+fixed constants of ``Bounds``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-from .covgraph import CoreGraph, build_core, complete_graph
+from .covgraph import CoreGraph, build_core
 from .fingroup import solve_preimage
 from .freeprod import FactorSystem, Word, invert, multiply, syllable_word, theta_word
 from .higgins import ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
@@ -46,7 +48,8 @@ class Bounds:
     """The coset bound, the one settable bound, and the fixed constants of
     the transversal search and its retry loop.
 
-    ``decompose_and_check`` reads ``tree_word_bound`` and ``tree_retries``.
+    ``decompose_and_check`` reads ``tree_word_bound`` and ``tree_retries``;
+    only ``graph --complete`` reads ``max_cosets``.
     ``tree_extension_bound``, ``free_test_len`` and ``seed`` are ignored;
     the benchmark harness (``perfbench/tracing.py``) still reads all five
     off an instance.
@@ -89,28 +92,30 @@ def canonical_generators(h_gens) -> tuple[Word, ...]:
     return tuple(sorted(unique, key=lambda w: (len(w), w)))
 
 
-def check_h_theta_surjective(sys: FactorSystem, h_gens, max_cosets: int) -> None:
+def check_h_theta_surjective(sys: FactorSystem, h_gens, max_cosets: int | None = None) -> None:
     """Raise unless the generator images generate all of B.
 
-    B is itself a free product of finite groups, so the question reduces to
-    an index-1 test with the same graph machinery on the B side.
+    B is itself a free product of finite groups, and membership on a core
+    is exact, so the images generate B exactly when every nonidentity
+    syllable (lam, b) of B is a loop at the base of their core.
+    ``max_cosets`` is ignored; the benchmark harness still passes it.
     """
     images = canonical_generators(theta_word(sys, w) for w in h_gens)
     bsys = sys.b_identity_system()
-    bgraph = complete_graph(bsys, build_core(bsys, images), max_cosets)
-    if bgraph.vertex_count != 1:
-        raise ThetaNotSurjectiveOntoB(
-            f"generator images have index {bgraph.vertex_count} in B, expected 1"
-        )
+    base = build_core(bsys, images).action[0]
+    syllables = [(lam, b) for lam, group in enumerate(bsys.factors_g) for b in range(1, group.order)]
+    missing = [f"{lam}:{b}" for lam, b in syllables if base.get((lam, b)) != 0]
+    if missing:
+        raise ThetaNotSurjectiveOntoB(f"generator images miss {len(missing)} elements of B, first {missing[0]}")
 
 
 def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None) -> ConjectureCertificate:
     """Full decomposition of the subgroup generated by ``h_gens``.
 
-    Raises IndexBoundExceeded on the coset bound, ThetaNotSurjectiveOntoB
-    when the image precheck fails, TreeBoundExceeded when a transversal
-    search ran dry below the state budget, and, when every transversal
-    retry was rejected, an error of the last retry's kind
+    Raises ThetaNotSurjectiveOntoB when the image precheck fails,
+    TreeBoundExceeded when a transversal search ran dry below the state
+    budget, and, when every transversal retry was rejected, an error of the
+    last retry's kind
     (TreeBoundExceeded or CertificateRejected).  Either message names the
     reason of every retry made.
     """
@@ -121,17 +126,17 @@ def decompose_and_check(
     sys: FactorSystem, h_gens, bounds: Bounds | None = None
 ) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
     """``conjecture_decompose`` plus the passing report of checks C1-C7 and
-    the complete canonical coset graph of H they ran on."""
+    the core of H they ran on."""
     bounds = bounds or Bounds()
     gens = canonical_generators(h_gens)
-    graph = complete_graph(sys, build_core(sys, gens), bounds.max_cosets)
-    check_h_theta_surjective(sys, gens, bounds.max_cosets)
+    graph = build_core(sys, gens)
+    check_h_theta_surjective(sys, gens)
 
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
             tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
-            cert, report = _assemble(sys, graph, tree)
+            cert, report = _assemble(sys, graph, tree, gens)
             return replace(cert, system_hash=system_hash(sys)), report, graph
         except (TreeBoundExceeded, CertificateRejected) as exc:
             last = exc
@@ -146,7 +151,7 @@ def decompose_and_check(
 
 
 def _assemble(
-    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, gens: tuple[Word, ...]
 ) -> tuple[ConjectureCertificate, VerificationReport]:
     """The certificate of one transversal candidate, without its system
     hash, and its passing report.
@@ -197,7 +202,7 @@ def _assemble(
     # check_certificate reads no system hash, so only the accepted
     # certificate is hashed, by the caller
     cert = ConjectureCertificate(system_hash="", factors=factors, tree_transversal=tree.transversal)
-    report = check_certificate(sys, graph, cert)
+    report = check_certificate(sys, graph, cert, gens)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")
         raise CertificateRejected(f"failed {failed}")

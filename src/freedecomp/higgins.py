@@ -1,8 +1,8 @@
-"""Factor-wise decomposition of a finite-index subgroup.
+"""Factor-wise decomposition of a finitely generated subgroup.
 
-Given the complete coset graph of H <= G = G_0 * G_1 * ... and a
-factor-wise map onto B = B_0 * B_1 * ..., this picks one transversal word
-p_N per coset with trivial image in B, then collects the Schreier elements
+Given the core of H <= G = G_0 * G_1 * ... and a factor-wise map onto
+B = B_0 * B_1 * ..., this picks one transversal word p_N per vertex with
+trivial image in B, then collects the Schreier elements
 p_N g p_{Ng}^-1 of the factor-lam edges into a generating set for H_lam:
 those of the tree edges and root loops of ``lambda_forest`` already
 generate it, so only they are taken.
@@ -14,8 +14,9 @@ Transversal search runs in three priority stages:
 
 1. a spanning forest of single edges whose label dies in B;
 2. breadth-first search over (vertex, accumulated image) states from the
-   already-covered vertices, claiming a vertex the first time it is
-   reached with trivial image, until every vertex has a word;
+   already-covered vertices, along the edges the core defines, claiming a
+   vertex the first time it is reached with trivial image, until every
+   vertex has a word;
 3. pairing of leftover vertices: a state (N, img) combines with a base
    loop of equal image into the image-trivial word loop^-1 * path.
 
@@ -32,7 +33,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .covgraph import CoreGraph, GraphNotComplete, lambda_forest
+from .covgraph import CoreGraph, lambda_forest
 from .freeprod import EMPTY, FactorSystem, Word, invert, multiply
 
 _STATE_BUDGET = 500_000
@@ -91,15 +92,14 @@ def build_theta_tree(
     extension_bound: int = 64,
     order_seed: int = 0,
 ) -> ThetaTree:
-    """Choose an image-trivial transversal word for every coset.
+    """Choose an image-trivial transversal word for every vertex of H's
+    core.
 
     ``word_bound`` caps the syllable length of intermediate images.  Raises
     TreeBoundExceeded when some vertex stays unreachable within the bounds
     (callers should check that H maps onto B first to tell the cases apart).
     ``extension_bound`` is ignored; the benchmark harness still passes it.
     """
-    if not graph.complete:
-        raise GraphNotComplete("transversal search requires the full coset graph")
     n = graph.vertex_count
     labels = _label_order(sys, order_seed)
 
@@ -138,7 +138,9 @@ def build_theta_tree(
         v, img = state = squeue.popleft()
         q = visited[state]
         for lam, g in labels:
-            v2 = graph.action[v][(lam, g)]
+            v2 = graph.action[v].get((lam, g))
+            if v2 is None:
+                continue
             img2 = multiply(sys, "B", img, ((lam, sys.theta[lam].map[g]),) if sys.theta[lam].map[g] else ())
             if len(img2) > word_bound:
                 continue
@@ -187,9 +189,10 @@ def higgins_decompose(sys: FactorSystem, graph: CoreGraph, tree: ThetaTree) -> H
 
     H_lam is generated by the words p_u g p_w^-1 of all factor-lam edges
     (u, g, w); the tree edges of ``lambda_forest`` and the loops at each
-    component root already generate it (Schreier's lemma).  On the complete
-    graph a component is the orbit of its root r under G_lam, so each of
-    its vertices v is one edge (r, a_v, v) from r, of coset label a_v, and
+    component root already generate it (Schreier's lemma).  A component is
+    saturated: its vertices lie in distinct cosets of the root stabilizer
+    and every edge between them is present, so each of its vertices v is
+    one edge (r, a_v, v) from its root r, of coset label a_v, and
     that edge is v's tree edge, of word z_v = p_r a_v p_v^-1.  A non-tree
     edge (u, g, w) of the component then gives
     p_u g p_w^-1 = z_u^-1 (p_r s p_r^-1) z_w with s = a_u g a_w^-1, and

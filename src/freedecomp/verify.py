@@ -2,43 +2,63 @@
 
 A certificate claims H = *_lam H_lam with theta(H_lam) = B_lam and
 H_lam = *(H cap G_lam^x) * F_lam, where factor lam lists the pieces
-H cap G_lam^x (its vertex groups) and a free basis of F_lam.  Every check
-C1-C7 is a decision procedure.  C1 decides that the representatives and
-the transversal words are image-trivial, and that there is one
-transversal word per coset, word i leading from the base to coset i of
-H's canonically numbered coset graph.  C2 decides, for each factor lam,
-that the images of the words generating H_lam (its vertex-group words and
-its free basis) lie in B_lam and generate it, so a free-basis word cannot
-move to another factor unnoticed.  C3 decides that each piece is exactly
-H cap G_lam^x: x^-1 g x lies in H exactly when Hx^-1 g = Hx^-1, so the
-piece is x^-1 Stab(v) x for the vertex v = Hx^-1, and Stab(v) is read off
-v's lam-component of the coset graph.  C4 decides that the representatives
-lie in pairwise distinct lam-components, one in each component whose
-stabilizer is nontrivial, with the empty word in the base's when that one
-is nontrivial; the lam-components are the lam-orbits of the cosets, in
-bijection with the double cosets of G_lam and H.  C5 decides that the
-pieces and the free bases generate H: membership shows that they generate
-some K <= H, and completing K's graph with the coset bound set to H's
-index succeeds exactly when [G : K] is at most [G : H], that is when
-K = H.  C7 decides that the pieces and the free basis form a free-product
-basis of H: given C3 and C5, the formal free product Pi of the pieces and
-a free group on the basis maps onto H, and it is isomorphic to H exactly
-when its Kurosh fingerprint (multiset of factor/conjugacy-class pairs plus
-free rank) equals H's, by the uniqueness part of Kurosh's theorem.  Pi is
+H cap G_lam^x (its vertex groups, one per representative x) and a free
+basis of F_lam.  The claim is the representatives, the vertex groups and
+the free bases.  It mentions none of the provenance fields (the
+uncorrected representatives beta', the corrections g and the transversal
+words), so no check reads them and a certificate without them verifies.
+
+The checks run on H's core: the folded, saturated graph ``build_core``
+makes from H's generators, complete or not.  Membership on a core is exact:
+a normal-form word lies in H exactly when it traces from the base back to
+the base.  The core is bounded by the input: the builder makes at most one
+vertex per generator syllable, and saturation only merges vertices and
+adds edges between them, so no check needs a coset bound.
+
+Every check C1-C7 is a decision procedure.  C1 decides that the
+representatives are image-trivial.  C2 decides, for each factor lam, that
+the images of the words generating H_lam (its vertex-group words and its
+free basis) lie in B_lam and generate it, so a free-basis word cannot move
+to another factor unnoticed.
+
+C3 decides that each piece is exactly H cap G_lam^x.  Write x^-1 = u s
+with s in G_lam its last syllable (or 1) and u not ending in G_lam.  Then
+G_lam^x = u G_lam u^-1, and for g != 1 the word u g u^-1 is reduced, so it
+lies in H exactly when u traces to a vertex w and g is a lam-loop at w.
+The piece is thus u Stab(w) u^-1, with Stab(w) read off w's lam-component,
+and it is trivial when u does not trace.  (x^-1 itself need not trace: a
+lam-component of a core may hold only some cosets of its stabilizer.)
+C4 decides that the representatives lie in pairwise distinct
+lam-components, one in each component whose stabilizer is nontrivial, with
+the empty word in the base's when that one is nontrivial; the component of
+a representative is that of its vertex w, and one whose u does not trace
+lies in none.  C5 decides that the pieces and the free bases generate H:
+the claimed words trace to the base of H's core, so they generate some
+K <= H, and H's generators trace to the base of K's core, so H <= K.
+C7 decides that the pieces and the free basis form a free-product basis
+of H: given C3 and C5, the formal free product Pi of the pieces and a free
+group on the basis maps onto H, and it is isomorphic to H exactly when its
+Kurosh fingerprint (multiset of factor/conjugacy-class pairs plus free
+rank) equals H's, by the uniqueness part of Kurosh's theorem.  Pi is
 finitely generated and virtually free, hence residually finite and so
 Hopfian (Mal'cev), so an onto map Pi -> H between isomorphic groups is an
-isomorphism.
+isomorphism.  This needs no finite index: a finitely generated subgroup of
+a virtually free group is virtually free.
 
-H's fingerprint is read off the lam-components of its coset graph: one
-piece per component with a nontrivial stabilizer, classed by that
-stabilizer's conjugacy class in G_lam, and free rank (k - 1) n - C + 1
-for k factors, index n and C components in all, the cycle rank of the
-graph with the vertices and the components as nodes and one edge per
-vertex and component containing it.  Given C3 and C4 the piece classes
-already agree: C4 pairs the representatives one-to-one with the components
-of nontrivial stabilizer, C3 makes the piece at x equal to x^-1 Stab(v) x,
-of class Stab(v), for the vertex v = Hx^-1 of x's component, and the
-stabilizers of the vertices of one component are conjugate in G_lam
+H's fingerprint is read off its core, which is a graph of groups for H:
+its nodes are the vertices, with trivial groups, and the lam-components,
+with their stabilizers, and it has one edge per vertex and component
+containing it.  So H has one piece per component with a nontrivial
+stabilizer, classed by that stabilizer's conjugacy class in G_lam, and free
+rank the cycle rank (k - 1) n - C + 1 for k factors, n vertices and C
+components in all.  A vertex without lam-edges is a one-vertex
+lam-component with trivial stabilizer, which adds one node and one edge
+and leaves the cycle rank as it is.  Given C3 and C4 the piece classes
+already agree: C4
+pairs the representatives one-to-one with the components of nontrivial
+stabilizer, C3 makes the piece at x equal to u Stab(w) u^-1, of class
+Stab(w), for the vertex w of x's component, and the stabilizers of the
+vertices of one component are conjugate in G_lam
 (Stab(v a) = a^-1 Stab(v) a).  So C7 needs C3, C4 and C5 and compares
 only the number of free-basis words with the free rank.
 
@@ -56,19 +76,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .covgraph import (
-    CoreGraph,
-    GraphNotComplete,
-    IndexBoundExceeded,
-    LambdaForest,
-    build_core,
-    complete_graph,
-    lambda_forest,
-    membership,
-    trace,
-)
+from .covgraph import CoreGraph, LambdaForest, build_core, lambda_forest, membership, trace
 from .fingroup import subgroup_closure
-from .freeprod import EMPTY, FactorSystem, invert, is_normal_form, multiply, theta_word
+from .freeprod import EMPTY, FactorSystem, invert, is_normal_form, theta_word
 
 if TYPE_CHECKING:  # pragma: no cover
     from .conjecture import ConjectureCertificate
@@ -110,20 +120,11 @@ def _structural_validation(sys: FactorSystem, cert: "ConjectureCertificate") -> 
     for i, fc in enumerate(cert.factors):
         if not isinstance(fc.lam, int) or isinstance(fc.lam, bool) or fc.lam != i:
             raise MalformedCertificate(f"factor entry {i} labeled {fc.lam}")
-        n = len(fc.beta_primes)
-        if not (len(fc.g_corrections) == len(fc.reps) == len(fc.vertex_groups) == n):
+        if len(fc.reps) != len(fc.vertex_groups):
             raise MalformedCertificate(f"factor {fc.lam}: piece lists have inconsistent lengths")
-        for w in list(fc.beta_primes) + list(fc.reps) + list(fc.f_basis) + [
-            x for vg in fc.vertex_groups for x in vg
-        ] + list(fc.g_corrections):
+        for w in list(fc.reps) + list(fc.f_basis) + [x for vg in fc.vertex_groups for x in vg]:
             if not is_normal_form(sys, "G", w):
                 raise MalformedCertificate(f"factor {fc.lam}: word {w!r} is not in normal form")
-        for g in fc.g_corrections:
-            if any(l != fc.lam for l, _ in g):
-                raise MalformedCertificate(f"factor {fc.lam}: correction {g!r} outside its factor")
-    for t in cert.tree_transversal:
-        if not is_normal_form(sys, "G", t):
-            raise MalformedCertificate(f"transversal word {t!r} is not in normal form")
 
 
 def _claimed_gens(fc) -> list:
@@ -141,24 +142,23 @@ def verify_certificate(
     free_test_len: int = 8,
     seed: int = 0,
 ) -> VerificationReport:
-    """Validate the certificate's shape, rebuild H's coset graph from
-    ``h_gens`` independently, and run checks C1-C7 against it.
+    """Validate the certificate's shape, rebuild H's core from ``h_gens``
+    independently, and run checks C1-C7 against it.
 
-    ``free_test_len`` and ``seed`` are ignored; the benchmark harness still
-    passes them.
+    ``max_cosets``, ``free_test_len`` and ``seed`` are ignored; the
+    benchmark harness still passes them.
     """
     _structural_validation(sys, cert)
     h_gens = tuple(tuple(w) for w in h_gens)
-    graph = complete_graph(sys, build_core(sys, h_gens), max_cosets)
-    return check_certificate(sys, graph, cert)
+    return check_certificate(sys, build_core(sys, h_gens), cert, h_gens)
 
 
-def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCertificate") -> VerificationReport:
-    """Run checks C1-C7 of a structurally valid certificate against the
-    complete canonical coset graph of H.  The checks keep their numbers,
-    so there is no C6 (see the module docstring)."""
-    if not graph.complete:
-        raise GraphNotComplete("certificates are checked on the complete coset graph")
+def check_certificate(
+    sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCertificate", h_gens
+) -> VerificationReport:
+    """Run checks C1-C7 of a structurally valid certificate against H's
+    core ``graph``, built from the generators ``h_gens``.  The checks keep
+    their numbers, so there is no C6 (see the module docstring)."""
     checks: list[CheckResult] = []
 
     def run(name, fn):
@@ -173,16 +173,6 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
             for x in fc.reps:
                 if theta_word(sys, x) != EMPTY:
                     bad.append(f"rep {x} of factor {fc.lam} has nontrivial image")
-            for g, bp, x in zip(fc.g_corrections, fc.beta_primes, fc.reps):
-                if multiply(sys, "G", invert(sys, "G", g), bp) != x:
-                    bad.append(f"factor {fc.lam}: rep != correction^-1 * beta'")
-        if len(cert.tree_transversal) != graph.vertex_count:
-            bad.append(f"{len(cert.tree_transversal)} transversal words for index {graph.vertex_count}")
-        for i, t in enumerate(cert.tree_transversal):
-            if theta_word(sys, t) != EMPTY:
-                bad.append("transversal word with nontrivial image")
-            if trace(graph, t) != i:
-                bad.append(f"transversal word {i} does not lead to coset {i}")
         return (not bad, "; ".join(bad[:3]))
 
     def c2():
@@ -204,9 +194,10 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
         return (not bad, "; ".join(bad[:3]))
 
     # C3 walks each factor's lam-components once and finds the component
-    # of every representative's vertex; C4 and C7 read the walk
+    # of every representative's vertex (None when it has none); C4 and C7
+    # read the walk
     forests: dict[int, LambdaForest] = {}
-    rep_components: dict[int, list[int]] = {}
+    rep_components: dict[int, list[int | None]] = {}
 
     def c3():
         bad = []
@@ -216,16 +207,23 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
             forest = forests[fc.lam] = lambda_forest(sys, graph, fc.lam)
             found = rep_components[fc.lam] = []
             for mu, (x, vg) in enumerate(zip(fc.reps, fc.vertex_groups)):
-                xinv = invert(sys, "G", x)
-                v = trace(graph, xinv)
-                c = forest.component[v]
-                found.append(c)
-                # Stab(v) = a^-1 S a for the root's stabilizer S and v = root a
-                a = forest.label[v]
-                computed = {
-                    multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, mul[mul[inv[a]][s]][a]),)), x)
-                    for s in forest.stabilizers[c][1:]
-                }
+                # x = s^-1 u^-1 with s^-1 its first syllable when that is in
+                # G_lam: the piece is u Stab(w) u^-1 at w = Hu, and trivial
+                # when u does not trace
+                uinv = x[1:] if x and x[0][0] == fc.lam else x
+                u = invert(sys, "G", uinv)
+                w = trace(graph, u)
+                computed = set()
+                if w is None:
+                    found.append(None)
+                else:
+                    c = forest.component[w]
+                    found.append(c)
+                    # Stab(w) = a^-1 S a for the root's stabilizer S and
+                    # w = root a; each word u g u^-1 is already reduced
+                    a = forest.label[w]
+                    stab = forest.stabilizers[c][1:]
+                    computed = {u + ((fc.lam, mul[mul[inv[a]][s]][a]),) + uinv for s in stab}
                 if computed != set(vg):
                     bad.append(f"factor {fc.lam} piece {mu}: vertex group differs from exhaustive intersection")
         return (not bad, "; ".join(bad[:3]))
@@ -244,14 +242,15 @@ def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCert
         return (not bad, "; ".join(bad[:3]))
 
     def c5():
+        # K <= H and H <= K by membership, each on the other's core
         words = [w for fc in cert.factors for w in _claimed_gens(fc)]
         stray = [w for w in words if not membership(sys, graph, w)]
         if stray:
             return False, f"{len(stray)} certificate words are outside the subgroup"
-        try:
-            complete_graph(sys, build_core(sys, tuple(words)), graph.vertex_count)
-        except IndexBoundExceeded:
-            return False, f"regenerated subgroup exceeds the subgroup's index {graph.vertex_count}"
+        k_core = build_core(sys, words)
+        missed = [h for h in h_gens if not membership(sys, k_core, h)]
+        if missed:
+            return False, f"{len(missed)} subgroup generators are outside the certificate's subgroup"
         return True, ""
 
     def c7():

@@ -166,6 +166,11 @@ def small_corpus(corpus) -> list[Instance]:
     return corpus[:40]
 
 
+@pytest.fixture(scope="session")
+def partial_family() -> list:
+    return partial_action_family(seed=16, per_shape=15)
+
+
 @dataclass(frozen=True)
 class PointStabilizer:
     """H = the stabiliser of point 0 under a transitive action of Z2 * Z3 on
@@ -375,6 +380,141 @@ def six_shape_family(seed: int, per_shape: int, max_index: int = 12):
                     if s:
                         gens.setdefault(s)
             out.append((name, system, tuple(gens)))
+            drawn += 1
+    return out
+
+
+def _partial_factor_action(rnd: random.Random, group, m: int):
+    """A saturated partial right action of ``group`` on m shuffled points,
+    orbit by orbit: each orbit holds some of the right cosets of the
+    subgroup S that up to two random elements generate, with every edge
+    between them, so S is the stabiliser of the orbit's first coset.
+
+    Returns ``(act, orbits, pieces, nontrivial)``: ``act[g]`` maps a point
+    to its image under g where that is defined, ``orbits`` counts the
+    orbits, ``pieces`` lists |S| for every S != 1, and ``nontrivial`` holds
+    the points of the orbits with an edge or a loop."""
+    points = rnd.sample(range(m), m)
+    act: list[dict[int, int]] = [{} for _ in range(group.order)]
+    orbits = 0
+    pieces = []
+    nontrivial = set()
+    pos = 0
+    while pos < m:
+        sub = subgroup_closure(group, [rnd.randrange(group.order) for _ in range(rnd.randint(0, 2))])
+        cosets = sorted({frozenset(group.mul[s][x] for s in sub) for x in range(group.order)}, key=min)
+        where = {y: coset for coset in cosets for y in coset}
+        chosen = rnd.sample(cosets, rnd.randint(1, min(len(cosets), m - pos)))
+        at = {coset: points[pos + i] for i, coset in enumerate(chosen)}
+        for coset, p in at.items():
+            for g in range(1, group.order):
+                q = at.get(where[group.mul[min(coset)][g]])
+                if q is not None:
+                    act[g][p] = q
+        orbits += 1
+        if len(sub) > 1:
+            pieces.append(len(sub))
+        if len(chosen) > 1 or len(sub) > 1:
+            nontrivial.update(at.values())
+        pos += len(chosen)
+    return act, orbits, pieces, nontrivial
+
+
+@dataclass(frozen=True)
+class PartialActionSubgroup:
+    """H = the stabiliser of point 0 under a saturated partial action of a
+    two-factor G on ``graph.vertex_count`` points, of infinite index.  The
+    action is H's core: ``moves[(lam, g)]`` maps each point to its image
+    where defined, and ``graph`` is the same action as a canonical graph."""
+
+    shape: str
+    system: FactorSystem
+    gens: tuple[Word, ...]
+    moves: dict
+    graph: CoreGraph
+    pieces: tuple[tuple[int, int], ...]  # sorted (factor, order): one per nontrivial orbit stabiliser
+    free_rank: int
+
+    def trace(self, word: Word) -> int | None:
+        """The point ``word`` leads point 0 to under the action, or None."""
+        p = 0
+        for syl in word:
+            p = self.moves[syl].get(p)
+            if p is None:
+                return None
+        return p
+
+
+def partial_action_family(seed: int, per_shape: int, max_points: int = 12) -> list[PartialActionSubgroup]:
+    """Four shapes onto Z2 * 1: Z2*Z3 (id, trivial), Z2*S3 (id, trivial),
+    S3*Z3 (sign, trivial) and Z4*S3 (mod 2, trivial).  Per shape,
+    ``per_shape`` subgroups H, each the stabiliser of point 0 under a random
+    saturated partial action on 2 to ``max_points`` points, given by its
+    Schreier generators over a breadth-first tree.
+
+    A draw is kept when the action is connected, leaves some edge
+    undefined (so H has infinite index), maps H onto B, and is a core:
+    every point but 0 lies in orbits with an edge or a loop of both
+    factors, so every edge lies on a reduced loop at point 0.  H's pieces
+    are then the nontrivial orbit stabilisers, and its free rank is the
+    cycle rank m - C + 1 of the graph with the m points and the C orbits
+    as nodes and one edge per point and orbit containing it.  H maps onto
+    B = Z2 exactly when the parities theta gives the edges cannot be
+    written as differences of point labels."""
+    z4_mod2 = [0, 1, 0, 1]
+    shapes = [
+        ("Z2*Z3", [Z2, Z3], [[0, 1], [0, 0, 0]]),
+        ("Z2*S3", [Z2, S3], [[0, 1], [0] * 6]),
+        ("S3*Z3", [S3, Z3], [sign_map(3), [0, 0, 0]]),
+        ("Z4*S3", [Z4, S3], [z4_mod2, [0] * 6]),
+    ]
+    rnd = random.Random(seed)
+    out = []
+    for name, factors, maps in shapes:
+        system = make_system(factors, [Z2, TRIV], maps)
+        drawn = 0
+        while drawn < per_shape:
+            m = rnd.randint(2, max_points)
+            moves, orbits, pieces, degree = {}, 0, [], [0] * m
+            for lam, group in enumerate(factors):
+                act, count, orders, nontrivial = _partial_factor_action(rnd, group, m)
+                orbits += count
+                pieces += [(lam, order) for order in orders]
+                for p in nontrivial:
+                    degree[p] += 1
+                moves.update(((lam, g), act[g]) for g in range(1, group.order))
+            if min(degree[1:]) < 2 or all(len(perm) == m for perm in moves.values()):
+                continue
+            word = {0: ()}
+            parity = {0: 0}
+            onto = False
+            order = [0]
+            for u in order:  # grows while the walk discovers points
+                for (lam, g), perm in moves.items():
+                    v = perm.get(u)
+                    if v is None:
+                        continue
+                    step = parity[u] ^ system.theta[lam].map[g]
+                    if v in word:
+                        onto |= parity[v] != step
+                    else:
+                        word[v] = normalize(system, "G", word[u] + ((lam, g),))
+                        parity[v] = step
+                        order.append(v)
+            if len(order) < m or not onto:
+                continue
+            gens = {}
+            for u in order:
+                for syl, perm in moves.items():
+                    if u in perm:
+                        s = normalize(system, "G", word[u] + (syl,) + invert(system, "G", word[perm[u]]))
+                        if s:
+                            gens.setdefault(s)
+            rows = tuple({syl: perm[p] for syl, perm in moves.items() if p in perm} for p in range(m))
+            graph = canonicalize(CoreGraph(vertex_count=m, action=rows, complete=False))
+            out.append(
+                PartialActionSubgroup(name, system, tuple(gens), moves, graph, tuple(sorted(pieces)), m - orbits + 1)
+            )
             drawn += 1
     return out
 

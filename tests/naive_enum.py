@@ -893,7 +893,7 @@ def gated_decompose_and_check(
     for order_seed in range(bounds.tree_retries):
         try:
             tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
-            cert, report = _gated_assemble(sys, graph, tree)
+            cert, report = _gated_assemble(sys, graph, tree, gens)
             return cert, report, graph
         except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
             last = exc
@@ -908,7 +908,7 @@ def gated_decompose_and_check(
 
 
 def _gated_assemble(
-    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, gens: tuple[Word, ...]
 ) -> tuple[ConjectureCertificate, VerificationReport]:
     hd = higgins_decompose(sys, graph, tree)
     factor_certs: list[FactorCertificate] = []
@@ -968,7 +968,7 @@ def _gated_assemble(
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )
-    report = check_certificate(sys, graph, cert)
+    report = check_certificate(sys, graph, cert, gens)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")
         raise CertificateRejected(f"failed {failed}")

@@ -276,20 +276,22 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
     except ThetaNotSurjectiveOntoB:
         precheck_raised = True
 
-    # trivial subgroup of an infinite product: index bound exceeded, exit 2
+    # trivial subgroup of an infinite product: infinite index, but kurosh
+    # reads its one-vertex core, so exit 0 with no pieces and free rank 0
     f2 = tmp_path / "trivial.json"
     f2.write_text(
         json.dumps({"factors_G": ["cyclic 2", "cyclic 2"], "subgroup": [], "bounds": {"max_cosets": 40}}),
         encoding="utf-8",
     )
     code_trivial = main(["kurosh", str(f2)])
-    capsys.readouterr()
+    trivial = json.loads(capsys.readouterr().out)
 
-    ok = code_nonsurj == 3 and precheck_raised and code_trivial == 2
+    ok = code_nonsurj == 3 and precheck_raised and code_trivial == 0
+    ok = ok and trivial["pieces"] == [] and trivial["free_rank"] == 0
     with capsys.disabled():
         _report(
             7,
             ok,
             f"non-surjective theta exit {code_nonsurj}, image precheck before tree search, "
-            f"trivial subgroup exit {code_trivial}",
+            f"trivial subgroup exit {code_trivial} with free rank {trivial['free_rank']}",
         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedecomp import build_core as real_build_core
-from freedecomp import cli, conjecture, fingroup, verify
+from freedecomp import cli, conjecture, covgraph, fingroup, higgins, verify
 from freedecomp.cli import main
 from freedecomp.conjecture import canonical_generators
 from freedecomp.fingroup import FiniteGroup, sym
@@ -75,11 +75,18 @@ def test_decompose_deterministic_bytes(tmp_path):
     assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
-def test_decompose_bound_exceeded(tmp_path, capsys):
-    sys_file = write(tmp_path, "sys.json", SYS_A)
-    code = main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"])
-    assert code == 2
-    assert "bound" in capsys.readouterr().err
+def test_decompose_bound_exceeded(tmp_path, capsys, monkeypatch):
+    # decompose reads no coset bound, from the file or a flag; the bound
+    # it can still exceed is the transversal search's state budget
+    sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"max_cosets": 1}))
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 0
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"]) == 3
+    assert "unrecognized arguments: --max-cosets 1" in capsys.readouterr().err
+    # the index-3 subgroup needs the search past single kernel edges
+    phase2 = write(tmp_path, "phase2.json", dict(SYS_A, subgroup=["0:1", "1:1 0:1 1:1 0:1 1:1"]))
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
+    assert main(["decompose", phase2, "-o", str(tmp_path / "c2.json")]) == 2
+    assert "bound exceeded: all 8 transversal retries rejected" in capsys.readouterr().err
 
 
 def test_nonsurjective_theta_rejected(tmp_path, capsys):
@@ -132,7 +139,7 @@ def test_malformed_system_field_is_invalid_input(tmp_path, capsys, field, value,
 
 def test_non_positive_max_cosets_flag_is_invalid_input(tmp_path, capsys):
     sys_file = write(tmp_path, "sys.json", SYS_B)
-    assert main(["kurosh", sys_file, "--max-cosets", "0"]) == 3
+    assert main(["graph", sys_file, "--complete", "--max-cosets", "0"]) == 3
     assert "max_cosets must be at least 1, got 0" in capsys.readouterr().err
 
 
@@ -242,11 +249,16 @@ def test_kurosh_sys_b(tmp_path, capsys):
 
 
 def test_kurosh_trivial_subgroup_bound(tmp_path, capsys):
+    # the trivial subgroup of an infinite product has infinite index; kurosh
+    # reads its one-vertex core and no coset bound, so the file's bound
+    # stops only graph --complete
     sys_file = write(
         tmp_path, "sys.json", {"factors_G": ["cyclic 2", "cyclic 2"], "subgroup": [], "bounds": {"max_cosets": 40}}
     )
-    assert main(["kurosh", sys_file]) == 2
-    assert "bound" in capsys.readouterr().err
+    assert main(["kurosh", sys_file]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pieces": [], "free_basis": [], "free_rank": 0}
+    assert main(["graph", sys_file, "--complete"]) == 2
+    assert "bound exceeded: coset bound 40 exceeded" in capsys.readouterr().err
 
 
 def test_graph_dot(tmp_path, capsys):
@@ -303,6 +315,60 @@ def test_certificate_with_an_h_generators_key_still_verifies(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", sys_file, old_file]) == 0
         assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_certificate_without_provenance_keys_still_verifies(tmp_path, capsys):
+    # no check reads beta_primes, g_corrections or tree_transversal, so a
+    # certificate without them verifies, and so does one whose transversal
+    # has a word per coset of the complete graph, as certificates written
+    # before the checks moved to H's core carry
+    trivial_in_s3 = {"factors_G": ["sym 3"], "factors_B": ["cyclic 1"], "theta": [[0] * 6], "subgroup": []}
+    for payload, complete_transversal in ((SYS_A, None), (trivial_in_s3, [""] + [f"0:{g}" for g in range(1, 6)])):
+        sys_file = write(tmp_path, "sys.json", payload)
+        cert_file = str(tmp_path / "cert.json")
+        assert main(["decompose", sys_file, "-o", cert_file]) == 0
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        bare = {key: value for key, value in cert.items() if key != "tree_transversal"}
+        bare["factors"] = [
+            {key: value for key, value in fc.items() if key not in ("beta_primes", "g_corrections")}
+            for fc in cert["factors"]
+        ]
+        variants = [bare]
+        if complete_transversal:
+            assert cert["tree_transversal"] == [""]  # H = 1 has a one-vertex core
+            variants.append(dict(cert, tree_transversal=complete_transversal))
+        for doc in variants:
+            capsys.readouterr()
+            assert main(["verify", sys_file, write(tmp_path, "old.json", doc)]) == 0
+            assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_decompose_verify_and_kurosh_never_complete(tmp_path, monkeypatch, capsys):
+    # the three commands work on H's core, so H = <a> in Z2 * Z3 onto
+    # Z2 * 1, of infinite index, decomposes into H_0 = <a> and H_1 = 1
+    def no_completion(*args):
+        raise AssertionError("a command completed a coset graph")
+
+    monkeypatch.setattr(cli, "complete_graph", no_completion)
+    monkeypatch.setattr(covgraph, "complete_graph", no_completion)
+    payload = {
+        "factors_G": ["cyclic 2", "cyclic 3"],
+        "factors_B": ["cyclic 2", "cyclic 1"],
+        "theta": [[0, 1], [0, 0, 0]],
+        "subgroup": ["0:1"],
+    }
+    sys_file = write(tmp_path, "sys.json", payload)
+    cert_file, dot_file = str(tmp_path / "cert.json"), tmp_path / "core.dot"
+    assert main(["decompose", sys_file, "-o", cert_file, "--dot", str(dot_file)]) == 0
+    fc0, fc1 = json.loads((tmp_path / "cert.json").read_text())["factors"]
+    assert (fc0["reps"], fc0["vertex_groups"], fc0["f_basis"]) == ([""], [["0:1"]], [])
+    assert (fc1["reps"], fc1["vertex_groups"], fc1["f_basis"]) == ([], [], [])
+    assert dot_file.read_text().count("->") == 1  # the core: one vertex with its a-loop
+    assert main(["verify", sys_file, cert_file]) == 0
+    capsys.readouterr()
+    assert main(["kurosh", sys_file]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [p["rep"] for p in out["pieces"]] == [""] and out["free_rank"] == 0
 
 
 def test_unreadable_file(tmp_path):
@@ -424,9 +490,9 @@ def test_rejection_names_every_retry(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("decompose", {"--max-cosets"}),
-        ("kurosh", {"--max-cosets"}),
-        ("verify", {"--max-cosets"}),
+        ("decompose", set()),
+        ("kurosh", set()),
+        ("verify", set()),
         ("graph", {"--max-cosets"}),
         ("normalform", set()),
         ("member", set()),
@@ -513,7 +579,7 @@ def _parser_sequence(tmp_path) -> list[list[str]]:
         ["kurosh"],
         ["verify", "--help"],
         ["member", sys_file, "0:1", "--max-cosets", "0"],
-        ["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"],
+        ["graph", sys_file, "--complete", "--max-cosets", "1"],
         ["kurosh", write(tmp_path, "bad.json", {"factors_G": []})],
     ]
 
@@ -668,11 +734,11 @@ def test_mutated_inputs_exit_0_to_3(tmp_path_factory, data):
     cert_file = directory / "mutated-cert.json"
     sys_file.write_text(json.dumps(system), encoding="utf-8")
     cert_file.write_text(json.dumps(cert), encoding="utf-8")
-    bound = ["--max-cosets", "64"]
     for argv in (
-        ["verify", str(sys_file), str(cert_file), *bound],
-        ["kurosh", str(sys_file), *bound],
-        ["decompose", str(sys_file), "-o", str(directory / "out.json"), *bound],
+        ["verify", str(sys_file), str(cert_file)],
+        ["kurosh", str(sys_file)],
+        ["decompose", str(sys_file), "-o", str(directory / "out.json")],
+        ["graph", str(sys_file), "--complete", "--max-cosets", "64", "--dot", str(directory / "g.dot")],
         ["member", str(sys_file), "1:1 0:1 1:1"],
         ["normalform", str(sys_file), "0:1 1:1", "--side", "B"],
     ):

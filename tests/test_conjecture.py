@@ -131,7 +131,7 @@ def test_trivial_subgroup_single_factor():
     cert = conjecture_decompose(sys, [])
     fc = cert.factors[0]
     assert fc.reps == () and fc.vertex_groups == () and fc.f_basis == ()
-    assert len(cert.tree_transversal) == 6  # one image-trivial word per coset
+    assert cert.tree_transversal == ((),)  # one word per vertex of the one-vertex core
     from freedecomp import verify_certificate
 
     assert verify_certificate(sys, [], cert).verdict
@@ -221,3 +221,21 @@ def test_checks_alone_reject_what_the_gated_assembly_rejected():
             else:
                 assert new[1][order_seed] == reason, shape
     assert {"accepted", CertificateRejected, *gates} <= kinds
+
+
+def test_decompose_on_its_own_claim_is_a_fixed_point(corpus):
+    # a certificate depends on H, not on its generators: decompose run on
+    # the words a certificate claims generate H returns that certificate
+    cases = [(inst.system, inst.gens) for inst in corpus]
+    cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (60, 300))]
+    seen = 0
+    for system, gens in cases:
+        try:
+            cert = conjecture_decompose(system, gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
+            continue
+        claimed = [x for fc in cert.factors for vg in fc.vertex_groups for x in vg]
+        claimed += [f for fc in cert.factors for f in fc.f_basis]
+        assert cert_bytes(conjecture_decompose(system, claimed)) == cert_bytes(cert)
+        seen += 1
+    assert seen >= 180

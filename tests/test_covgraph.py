@@ -651,3 +651,23 @@ def test_one_walk_saturation_matches_two_passes(corpus, monkeypatch):
             m.setattr(covgraph, "_Builder", TwoPassSaturateBuilder)
             assert got == _outcome(sys, gens, max_cosets)
     assert {6, 24, 120, 4} <= filled
+
+
+def test_membership_on_a_core_is_exact(corpus, partial_family):
+    # the image test and C5 decide by membership on cores: on the corpus it
+    # agrees with the complete coset graph on every word of syllable length
+    # at most 6, and on the infinite-index family with the partial action
+    # the core was built from
+    words = 0
+    for inst in corpus:
+        core = build_core(inst.system, inst.gens)
+        for word in enumerate_ball(inst.system, 6):
+            assert membership(inst.system, core, word) == membership(inst.system, inst.graph, word)
+            words += 1
+    for f in partial_family:
+        core = build_core(f.system, f.gens)
+        assert canonical_encoding(core) == canonical_encoding(f.graph), f.shape
+        for word in enumerate_ball(f.system, 6):
+            assert membership(f.system, core, word) == (f.trace(word) == 0), (f.shape, word)
+            words += 1
+    assert words > 10**5

@@ -15,7 +15,7 @@ import json
 from freedecomp.cli import main
 from freedecomp.freeprod import format_word
 
-GOLDEN_DIGEST = "1819f42c0a755bfedb399761b1fa93c6a67582173dd2c605b72cae30163c4756"
+GOLDEN_DIGEST = "64500a3d1ea86505fee0a5821d78f92849b5d4a1be693b27699ae0eec655fc99"
 
 
 def system_json(inst) -> dict:

@@ -1,7 +1,6 @@
 import pytest
 
 from freedecomp import (
-    GraphNotComplete,
     TreeBoundExceeded,
     build_core,
     build_theta_tree,
@@ -92,10 +91,15 @@ def test_state_budget_is_named_when_it_stops_the_search(sys_phase2, sys_phase2_g
         build_theta_tree(sys_phase2, g)
 
 
-def test_requires_complete_graph(sys_a):
-    core = build_core(sys_a, [w(sys_a, "0:1")])
-    with pytest.raises(GraphNotComplete):
-        build_theta_tree(sys_a, core)
+def test_search_runs_on_a_core(sys_a):
+    # H = <ababa> has infinite index; its core leaves b undefined at the
+    # base, so the state search skips that edge and still finds words
+    core = build_core(sys_a, [w(sys_a, "0:1 1:1 0:1 1:1 0:1")])
+    assert not core.complete and (1, 1) not in core.action[0]
+    tree = build_theta_tree(sys_a, core)
+    assert tree.transversal == ((), w(sys_a, "0:1 1:1 0:1 1:1"), w(sys_a, "0:1 1:1 0:1"))
+    for v, word in enumerate(tree.transversal):
+        assert theta_word(sys_a, word) == EMPTY and trace(core, word) == v
 
 
 def test_transversal_words_are_image_trivial_and_readable(corpus):

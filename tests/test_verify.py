@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from freedecomp import (
+    CertificateRejected,
     GraphNotComplete,
     ThetaNotSurjectiveOntoB,
     build_core,
@@ -15,12 +16,13 @@ from freedecomp import (
     verify_certificate,
 )
 from freedecomp import covgraph
-from freedecomp.conjecture import Bounds, check_h_theta_surjective, decompose_and_check
-from freedecomp.covgraph import lambda_components
-from freedecomp.freeprod import EMPTY, parse_word, theta_word
+from freedecomp.conjecture import Bounds, canonical_generators, check_h_theta_surjective, decompose_and_check
+from freedecomp.covgraph import lambda_components, trace
+from freedecomp.freeprod import EMPTY, invert, is_normal_form, normalize, parse_word, theta_word
+from freedecomp.higgins import build_theta_tree
 from freedecomp.verify import MalformedCertificate, check_certificate
 
-from conftest import TRIV, Z2, enumerate_ball, z2z3_point_stabilizer
+from conftest import S3, TRIV, Z2, enumerate_ball, z2z3_point_stabilizer
 from naive_enum import (
     brute_force_double_cosets,
     brute_force_members,
@@ -77,7 +79,7 @@ def test_wrong_system_rejected(sys_a, sys_a_gens, sys_b, sys_a_cert):
 
 def test_inconsistent_lengths_rejected(sys_a, sys_a_gens, sys_a_cert):
     fc0 = sys_a_cert.factors[0]
-    bad_fc0 = dataclasses.replace(fc0, g_corrections=(EMPTY,))
+    bad_fc0 = dataclasses.replace(fc0, vertex_groups=fc0.vertex_groups[:1])
     bad = dataclasses.replace(sys_a_cert, factors=(bad_fc0, sys_a_cert.factors[1]))
     with pytest.raises(MalformedCertificate):
         verify_certificate(sys_a, sys_a_gens, bad)
@@ -109,29 +111,45 @@ def test_double_cosets_need_complete(sys_a):
 def test_components_and_vertex_groups_match_the_exhaustive_oracles(corpus):
     # C4 reads the double cosets off lambda_components, and C3 reads each
     # vertex group off the stabilizer of the representative's vertex; both
-    # must agree with the walks they replaced
+    # must agree with the walks they replaced, which need the complete
+    # graph, while the checks ran on H's core
     cases = [(inst.system, inst.gens) for inst in corpus]
     cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (12, 60, 300))]
     seen = 0
     for sys, gens in cases:
         try:
-            check_h_theta_surjective(sys, gens, 300)
+            check_h_theta_surjective(sys, gens)
         except ThetaNotSurjectiveOntoB:
             continue
-        cert, report, graph = decompose_and_check(sys, gens, Bounds(max_cosets=300))
+        cert, report, _ = decompose_and_check(sys, gens)
         assert report.checks[2].name.startswith("C3 ") and report.checks[2].status == "pass"
+        full = complete_canon(sys, gens, 300)
         for fc in cert.factors:
-            comps = lambda_components(sys, graph, fc.lam)
-            assert [comp.vertices for comp in comps] == brute_force_double_cosets(sys, graph, fc.lam)
+            comps = lambda_components(sys, full, fc.lam)
+            assert [comp.vertices for comp in comps] == brute_force_double_cosets(sys, full, fc.lam)
             for x, vg in zip(fc.reps, fc.vertex_groups):
-                assert set(vg) == exhaustive_intersection(sys, graph, fc.lam, x)
+                assert set(vg) == exhaustive_intersection(sys, full, fc.lam, x)
                 seen += 1
     assert seen >= 200
 
 
-def test_check_certificate_needs_the_complete_graph(sys_a, sys_a_cert):
-    with pytest.raises(GraphNotComplete):
-        check_certificate(sys_a, build_core(sys_a, []), sys_a_cert)
+def test_check_certificate_runs_on_the_core(corpus):
+    # decompose checks on H's core, which it never completes; on the corpus
+    # systems whose core is smaller than the complete graph the checks pass
+    # there, and verify, which builds the same core, agrees
+    smaller = 0
+    for inst in corpus:
+        try:
+            cert, report, graph = decompose_and_check(inst.system, inst.gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
+            continue
+        assert graph == build_core(inst.system, canonical_generators(inst.gens))
+        if graph.vertex_count < inst.graph.vertex_count:
+            smaller += 1
+            assert not graph.complete and report.verdict
+            assert check_certificate(inst.system, graph, cert, inst.gens).verdict
+            assert verify_certificate(inst.system, inst.gens, cert).verdict
+    assert smaller == 20
 
 
 def test_brute_force_membership(sys_a, sys_a_gens):
@@ -163,31 +181,36 @@ def test_certificate_json_roundtrip(sys_a, sys_a_gens, sys_a_cert):
 
 
 def _tamper_cases(sys, cert):
+    """(label, tampered factor 0, factor 1, whether the claim changed)."""
     fc0, fc1 = cert.factors
-    yield "rep image", dataclasses.replace(fc0, reps=(fc0.reps[0], w(sys, "1:1 0:1"))), fc1
-    yield "correction identity", dataclasses.replace(fc0, g_corrections=(w(sys, "0:1"), fc0.g_corrections[1])), fc1
+    yield "rep image", dataclasses.replace(fc0, reps=(fc0.reps[0], w(sys, "1:1 0:1"))), fc1, True
+    yield "correction identity", dataclasses.replace(
+        fc0, g_corrections=(w(sys, "0:1"), fc0.g_corrections[1])
+    ), fc1, False
+    yield "beta' replaced", dataclasses.replace(fc0, beta_primes=(w(sys, "1:1 0:1"), fc0.beta_primes[1])), fc1, False
     yield "vertex group element dropped", dataclasses.replace(
         fc0, vertex_groups=((), fc0.vertex_groups[1])
-    ), fc1
+    ), fc1, True
     yield "foreign vertex group element", dataclasses.replace(
         fc0, vertex_groups=(fc0.vertex_groups[0] + (w(sys, "1:1"),), fc0.vertex_groups[1])
-    ), fc1
-    yield "spurious free basis", dataclasses.replace(fc0, f_basis=(w(sys, "1:1"),)), fc1
+    ), fc1, True
+    yield "spurious free basis", dataclasses.replace(fc0, f_basis=(w(sys, "1:1"),)), fc1, True
     yield "duplicate representative", dataclasses.replace(
         fc0,
         reps=(fc0.reps[0], fc0.reps[0]),
         beta_primes=(fc0.beta_primes[0], fc0.beta_primes[0]),
         g_corrections=(fc0.g_corrections[0], fc0.g_corrections[0]),
         vertex_groups=(fc0.vertex_groups[0], fc0.vertex_groups[0]),
-    ), fc1
+    ), fc1, True
 
 
 def test_tamper_matrix(sys_a, sys_a_gens, sys_a_cert):
-    # every corruption class must flip the verdict
-    for label, bad_fc0, fc1 in _tamper_cases(sys_a, sys_a_cert):
+    # every corruption of the claim must flip the verdict; the corrections
+    # and beta' are provenance, which no check reads
+    for label, bad_fc0, fc1, claim_changed in _tamper_cases(sys_a, sys_a_cert):
         bad = dataclasses.replace(sys_a_cert, factors=(bad_fc0, fc1))
         report = verify_certificate(sys_a, sys_a_gens, bad)
-        assert not report.verdict, f"tampering not detected: {label}"
+        assert report.verdict != claim_changed, f"{label}: verdict {report.verdict}"
 
 
 def test_c7_only_tamper_matrix():
@@ -230,12 +253,11 @@ def test_cross_factor_basis_move_fails_c2(n, seed):
 
 
 @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (7, 1)])
-def test_c5_completes_within_the_subgroup_index(monkeypatch, n, seed):
+def test_c5_decides_by_mutual_membership(monkeypatch, n, seed):
     # A certificate missing one free-basis word, or one vertex group,
-    # generates a subgroup of infinite index.  C5 completes it with the
-    # coset bound set to H's index n, so the builder never holds more than
-    # 2n + 8 vertices at once and creates fewer than twice that: the work
-    # is bounded by H's index, not by the command's coset bound.
+    # generates a subgroup K < H of infinite index: its words lie in H, but
+    # H's generators do not all trace to the base of K's core.  A word
+    # outside H fails the other direction.  Neither completes a graph.
     ps = z2z3_point_stabilizer(n, seed)
     cert, _, graph = decompose_and_check(ps.system, ps.gens)
     forgeries = {}
@@ -245,70 +267,126 @@ def test_c5_completes_within_the_subgroup_index(monkeypatch, n, seed):
         if fc.vertex_groups and "vertex group emptied" not in forgeries:
             forgeries["vertex group emptied"] = dataclasses.replace(fc, vertex_groups=((),) + fc.vertex_groups[1:])
     assert len(forgeries) == 2
-    new_vertex = covgraph._Builder.new_vertex
-    counts = {"created": 0, "peak": 0}
+    outside = next(word for word in enumerate_ball(ps.system, 3) if not membership(ps.system, graph, word))
+    forgeries["word outside H"] = dataclasses.replace(cert.factors[1], f_basis=cert.factors[1].f_basis + (outside,))
 
-    def counting(self):
-        counts["created"] += 1
-        counts["peak"] = max(counts["peak"], self.live + 1)
-        return new_vertex(self)
+    def no_completion(*args):
+        raise AssertionError("C5 completed a graph")
 
-    monkeypatch.setattr(covgraph._Builder, "new_vertex", counting)
+    monkeypatch.setattr(covgraph, "complete_graph", no_completion)
     for label, bad_fc in forgeries.items():
         factors = tuple(bad_fc if fc.lam == bad_fc.lam else fc for fc in cert.factors)
-        counts.update(created=0, peak=0)
-        report = check_certificate(ps.system, graph, dataclasses.replace(cert, factors=factors))
+        report = check_certificate(ps.system, graph, dataclasses.replace(cert, factors=factors), ps.gens)
         c5 = report.checks[4]
         assert c5.name.startswith("C5 ") and c5.status == "fail", label
-        assert c5.details == f"regenerated subgroup exceeds the subgroup's index {n}", label
-        assert counts["peak"] <= 2 * n + 8 and counts["created"] < 2 * (2 * n + 8), (label, counts)
+        if label == "word outside H":
+            assert c5.details == "1 certificate words are outside the subgroup"
+        else:
+            assert c5.details.endswith("subgroup generators are outside the certificate's subgroup"), label
 
 
-def _transversal_tamper_cases(corpus):
-    """Valid certificates of the corpus and the scaling family."""
+def _valid_certificates(corpus):
+    """Valid certificates of the corpus and the scaling family, with the
+    complete coset graph of H."""
     cases = [(inst.system, inst.gens) for inst in corpus]
     cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (3, 12, 60))]
     for sys, gens in cases:
         try:
-            check_h_theta_surjective(sys, gens, 200)
-        except ThetaNotSurjectiveOntoB:
+            cert, _, _ = decompose_and_check(sys, gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
             continue
-        cert, _, graph = decompose_and_check(sys, gens, Bounds(max_cosets=200))
-        if graph.vertex_count > 1:
-            yield sys, gens, cert
+        yield sys, gens, cert, complete_canon(sys, gens)
+
+
+def _certificates_with_core(corpus):
+    """Valid certificates of the corpus with the core of H that decompose
+    built them on."""
+    for inst in corpus:
+        try:
+            yield inst.system, decompose_and_check(inst.system, inst.gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
+            continue
 
 
 def test_transversal_word_must_lead_to_its_coset(corpus):
-    # C1 ties word i of tree_transversal to coset i of H's canonical graph.
-    # Squaring the first nonempty word keeps it image-trivial and in normal
-    # form but sends it elsewhere; dropping the last word leaves a coset
-    # without one.  Both fail C1 and nothing else.
+    # no check reads tree_transversal, but decompose still writes it as
+    # provenance: word i is image-trivial and leads from the base of H's
+    # core to vertex i, one word per vertex of the core
     seen = 0
-    for sys, gens, cert in _transversal_tamper_cases(corpus):
-        words = list(cert.tree_transversal)
-        i = next(i for i, t in enumerate(words) if t)
-        squared = words[:i] + [multiply(sys, "G", words[i], words[i])] + words[i + 1 :]
-        for label, forged in (("squared", squared), ("dropped", words[:-1])):
-            report = verify_certificate(sys, gens, dataclasses.replace(cert, tree_transversal=tuple(forged)))
-            assert [c.status for c in report.checks] == ["fail"] + ["pass"] * 5, label
+    for sys, (cert, _, graph) in _certificates_with_core(corpus):
+        assert len(cert.tree_transversal) == graph.vertex_count
+        for v, word in enumerate(cert.tree_transversal):
+            assert theta_word(sys, word) == EMPTY
+            assert trace(graph, word, 0) == v
         seen += 1
-    assert seen >= 30
+    assert seen >= 150
 
 
 def test_transversal_word_must_be_in_normal_form(corpus):
-    # the unreduced concatenation t t of a word that starts and ends in
-    # one factor is rejected before any check runs
+    # the transversal words decompose writes are in normal form, so a
+    # certificate read back from JSON carries them unchanged
     seen = 0
-    for sys, gens, cert in _transversal_tamper_cases(corpus):
-        words = list(cert.tree_transversal)
-        i = next((i for i, t in enumerate(words) if t and t[0][0] == t[-1][0]), None)
-        if i is None:
-            continue
-        forged = words[:i] + [words[i] + words[i]] + words[i + 1 :]
-        with pytest.raises(MalformedCertificate, match="transversal word .* is not in normal form"):
-            verify_certificate(sys, gens, dataclasses.replace(cert, tree_transversal=tuple(forged)))
+    for sys, (cert, _, _) in _certificates_with_core(corpus):
+        for word in cert.tree_transversal:
+            assert is_normal_form(sys, "G", word)
+            assert normalize(sys, "G", word) == word
         seen += 1
-    assert seen >= 20
+    assert seen >= 150
+
+
+def test_provenance_fields_do_not_change_the_verdict(corpus):
+    # the claim mentions neither the transversal nor beta' and the
+    # corrections, so no check reads them: a transversal word squared,
+    # dropped or left unreduced, the transversal of the complete graph (as
+    # certificates written before the checks moved to the core carry), and
+    # all three fields emptied leave every check passing
+    seen = older = 0
+    for sys, gens, cert, full in _valid_certificates(corpus):
+        words = list(cert.tree_transversal)
+        forged = {"emptied": ()}
+        i = next((i for i, t in enumerate(words) if t), None)
+        if i is not None:
+            forged["squared"] = tuple(words[:i] + [multiply(sys, "G", words[i], words[i])] + words[i + 1 :])
+            forged["dropped"] = tuple(words[:-1])
+            forged["unreduced"] = tuple(words[:i] + [words[i] + words[i]] + words[i + 1 :])
+        if full.vertex_count > len(words):
+            forged["complete graph's"] = build_theta_tree(sys, full).transversal
+            older += 1
+        for label, transversal in forged.items():
+            factors = cert.factors
+            if label == "emptied":
+                factors = tuple(dataclasses.replace(fc, beta_primes=(), g_corrections=()) for fc in factors)
+            report = verify_certificate(sys, gens, dataclasses.replace(cert, factors=factors, tree_transversal=transversal))
+            assert [c.status for c in report.checks] == ["pass"] * 6, label
+        seen += 1
+    assert seen >= 150 and older == 20
+
+
+def test_c3_reads_the_piece_when_x_inverse_leaves_the_core():
+    # H = <b t b> in S3 * Z2 for a transposition t: the core is base -b- v
+    # with a t-loop at v, and v's S3-component holds one of the three
+    # cosets of <t>.  For a 3-cycle c, x = c^-1 b conjugates G_0 like b
+    # does, so its piece is b<t>b as well, although x^-1 = b c leaves the
+    # core after b.  C3 traces x^-1 without its last syllable.
+    sys = make_system([S3, Z2], [TRIV, TRIV], [[0] * 6, [0, 0]])
+    transposition = next(g for g in range(1, 6) if S3.mul[g][g] == 0)
+    cycle = next(g for g in range(1, 6) if S3.mul[g][g] != 0)
+    gens = [w(sys, f"1:1 0:{transposition} 1:1")]
+    cert = conjecture_decompose(sys, gens)
+    fc0, fc1 = cert.factors
+    assert fc0.reps == (w(sys, "1:1"),) and fc0.vertex_groups == (tuple(gens),)
+    x = w(sys, f"0:{S3.inv[cycle]} 1:1")
+    core = build_core(sys, gens)
+    assert trace(core, invert(sys, "G", x)) is None
+    assert exhaustive_intersection(sys, core, 0, x) == set(gens)
+    moved = dataclasses.replace(cert, factors=(dataclasses.replace(fc0, reps=(x,)), fc1))
+    assert verify_certificate(sys, gens, moved).verdict
+    # y = b c b leaves the core before its last syllable: its piece is trivial
+    y = w(sys, f"1:1 0:{cycle} 1:1")
+    assert exhaustive_intersection(sys, core, 0, y) == set()
+    wrong = dataclasses.replace(cert, factors=(dataclasses.replace(fc0, reps=(y,)), fc1))
+    report = verify_certificate(sys, gens, wrong)
+    assert [c.status for c in report.checks] == ["pass", "pass", "fail", "fail", "pass", "fail"]
 
 
 def _tampered(sys, cert):
@@ -343,3 +421,70 @@ def test_exact_c7_rejects_benchmark_tamperings(corpus):
             assert (c7.status == "pass") == (kind == "valid"), (kind, c7.details)
             seen[kind] += 1
     assert seen["valid"] >= 170 and seen["piece"] and seen["basis"], seen
+
+
+def test_partial_action_certificates_verify_and_match_the_construction(partial_family):
+    # every subgroup of the infinite-index family decomposes; its pieces
+    # are the nontrivial orbit stabilisers and its free rank the cycle rank
+    # of the action, and each vertex group is H cap G_lam^x, found by brute
+    # force over G_lam with membership read off the action itself
+    for f in partial_family:
+        sys = f.system
+        cert, report, graph = decompose_and_check(sys, f.gens)
+        assert report.verdict and not graph.complete, f.shape
+        assert verify_certificate(sys, f.gens, cert).verdict, f.shape
+        pieces = sorted((fc.lam, len(vg) + 1) for fc in cert.factors for vg in fc.vertex_groups)
+        assert pieces == list(f.pieces), f.shape
+        assert sum(len(fc.f_basis) for fc in cert.factors) == f.free_rank, f.shape
+        for fc in cert.factors:
+            order = sys.factors_g[fc.lam].order
+            for x, vg in zip(fc.reps, fc.vertex_groups):
+                xinv = invert(sys, "G", x)
+                conjugates = (multiply(sys, "G", multiply(sys, "G", xinv, ((fc.lam, g),)), x) for g in range(1, order))
+                assert set(vg) == {word for word in conjugates if f.trace(word) == 0}, f.shape
+
+
+def _claim_tampers(sys, cert):
+    """Copies of the certificate with a changed claim: a free-basis word
+    dropped, squared or duplicated, a free-basis word of nontrivial image
+    moved to the other factor, a piece dropped, or a vertex-group word
+    dropped."""
+
+    def changed(i, **fields):
+        fc = dataclasses.replace(cert.factors[i], **fields)
+        return dataclasses.replace(cert, factors=cert.factors[:i] + (fc,) + cert.factors[i + 1 :])
+
+    for i, fc in enumerate(cert.factors):
+        basis = fc.f_basis
+        for j, f in enumerate(basis):
+            yield "basis word dropped", changed(i, f_basis=basis[:j] + basis[j + 1 :])
+            yield "basis word squared", changed(i, f_basis=basis[:j] + (multiply(sys, "G", f, f),) + basis[j + 1 :])
+            yield "basis word duplicated", changed(i, f_basis=basis + (f,))
+            if theta_word(sys, f) != EMPTY:
+                other = cert.factors[1 - i]
+                moved = changed(i, f_basis=basis[:j] + basis[j + 1 :])
+                factors = list(moved.factors)
+                factors[1 - i] = dataclasses.replace(other, f_basis=other.f_basis + (f,))
+                yield "basis word moved", dataclasses.replace(cert, factors=tuple(factors))
+        for j, vg in enumerate(fc.vertex_groups):
+            yield "piece dropped", changed(
+                i, reps=fc.reps[:j] + fc.reps[j + 1 :], vertex_groups=fc.vertex_groups[:j] + fc.vertex_groups[j + 1 :]
+            )
+            for k in range(len(vg)):
+                fewer = fc.vertex_groups[:j] + (vg[:k] + vg[k + 1 :],) + fc.vertex_groups[j + 1 :]
+                yield "vertex-group word dropped", changed(i, vertex_groups=fewer)
+
+
+def test_partial_action_tamper_matrix(partial_family):
+    # every tamper that changes the claim fails; emptying the provenance
+    # fields, which the claim does not mention, does not
+    kinds = {}
+    for f in partial_family:
+        cert = conjecture_decompose(f.system, f.gens)
+        for label, bad in _claim_tampers(f.system, cert):
+            assert not verify_certificate(f.system, f.gens, bad).verdict, (f.shape, label)
+            kinds[label] = kinds.get(label, 0) + 1
+        bare = tuple(dataclasses.replace(fc, beta_primes=(), g_corrections=()) for fc in cert.factors)
+        bare_cert = dataclasses.replace(cert, factors=bare, tree_transversal=())
+        assert verify_certificate(f.system, f.gens, bare_cert).verdict, f.shape
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
