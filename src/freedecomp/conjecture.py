@@ -11,13 +11,14 @@ transversal and the corrections that led to it, which no check reads.
 
 H's core is the only graph: it is never completed, so H may have
 infinite index, and its size is bounded by the generators' syllables (see
-the verify module docstring).  The transversal choice is a heuristic.
-Each candidate certificate is judged by the verifier's checks C1-C7 alone,
-run on the already-built core, and a rejected candidate is retried with
-permuted edge orders before giving up.  A search that ran dry below its
-state budget is not retried: it saw every state that any edge order
-reaches.  The transversal search's image bound and the retry count are
-fixed constants of ``Bounds``.
+the verify module docstring).  H is checked to map onto B first, which
+makes the transversal search complete (see the higgins module docstring),
+so only its state budget can stop it; which image-trivial transversal it
+returns depends on the edge order.  Each candidate certificate is judged
+by the verifier's checks C1-C7 alone, run on the already-built core, and
+a rejected candidate, or a search stopped by the budget, is retried with
+permuted edge orders before giving up.  The retry count is a fixed
+constant of ``Bounds``.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ class CertificateRejected(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """The coset bound, the one settable bound, and the fixed constants of
-    the transversal search and its retry loop.
+    """The coset bound, the one settable bound, and the fixed retry count
+    of the transversal search.
 
-    ``decompose_and_check`` reads ``tree_word_bound`` and ``tree_retries``;
-    only ``graph --complete`` reads ``max_cosets``.
+    ``decompose_and_check`` reads ``tree_retries``; only
+    ``graph --complete`` reads ``max_cosets``.  ``tree_word_bound``,
     ``tree_extension_bound``, ``free_test_len`` and ``seed`` are ignored;
-    the benchmark harness (``perfbench/tracing.py``) still reads all five
-    off an instance.
+    the benchmark harness (``perfbench/tracing.py``) still reads them off
+    an instance.
     """
 
     max_cosets: int = 10_000
@@ -112,12 +113,11 @@ def check_h_theta_surjective(sys: FactorSystem, h_gens, max_cosets: int | None =
 def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None) -> ConjectureCertificate:
     """Full decomposition of the subgroup generated by ``h_gens``.
 
-    Raises ThetaNotSurjectiveOntoB when the image precheck fails,
-    TreeBoundExceeded when a transversal search ran dry below the state
-    budget, and, when every transversal retry was rejected, an error of the
-    last retry's kind
-    (TreeBoundExceeded or CertificateRejected).  Either message names the
-    reason of every retry made.
+    Raises ThetaNotSurjectiveOntoB when the image precheck fails and,
+    when every transversal retry was rejected, an error of the last
+    retry's kind: TreeBoundExceeded when its search hit the state budget,
+    CertificateRejected when C1-C7 failed.  Either message names the
+    reason of every retry.
     """
     return decompose_and_check(sys, h_gens, bounds)[0]
 
@@ -135,18 +135,12 @@ def decompose_and_check(
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
-            tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
+            tree = build_theta_tree(sys, graph, order_seed=order_seed)
             cert, report = _assemble(sys, graph, tree, gens)
             return replace(cert, system_hash=system_hash(sys)), report, graph
         except (TreeBoundExceeded, CertificateRejected) as exc:
             last = exc
             reasons.append(f"order_seed {order_seed}: {exc}")
-            if isinstance(exc, TreeBoundExceeded) and not exc.budget_hit:
-                raise TreeBoundExceeded(
-                    "transversal search ran dry below the state budget, so every edge order "
-                    "fails alike and no retry was made: " + "; ".join(reasons),
-                    budget_hit=False,
-                ) from exc
     raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
 
 

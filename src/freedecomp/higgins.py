@@ -10,21 +10,27 @@ Image-trivial transversals make every H_lam land inside B_lam, and the
 stabilizer of each lam-component root, conjugated by its transversal, is
 contained in H_lam by construction.
 
-Transversal search runs in three priority stages:
+Transversal search runs in two stages:
 
 1. a spanning forest of single edges whose label dies in B;
 2. breadth-first search over (vertex, accumulated image) states from the
    already-covered vertices, along the edges the core defines, claiming a
    vertex the first time it is reached with trivial image, until every
-   vertex has a word;
-3. pairing of leftover vertices: a state (N, img) combines with a base
-   loop of equal image into the image-trivial word loop^-1 * path.
+   vertex has a word.
 
-Images longer than ``word_bound`` syllables are not followed, so the
-states are finitely many and stage 2 ends; a state budget caps it on
-large graphs.  Whether the resulting direct factors assemble into a free
-product is not guaranteed by the construction; callers verify and retry
-with permuted edge orders (``order_seed``) when a check fails.
+The search is complete once H maps onto B, which the caller must check
+first (``conjecture.check_h_theta_surjective``).  Take a vertex v = Hu
+and choose h in H with theta(h) = theta(u)^-1.  The normal form of h u
+traces from the base to v, because the core is folded and saturated, and
+its image is trivial; so stage 2 reaches the state (v, 1) after finitely
+many steps.  Its one bound is a state budget, ``_STATE_BUDGET``, named
+in the error when it trips.  Without the onto check the search may never
+claim some vertex: if the states run out first, that proves H does not
+map onto B, and if B is infinite it runs until the budget, holding words
+that grow with its depth.  Whether the resulting direct factors assemble
+into a free product is not guaranteed by the construction; callers
+verify and retry with permuted edge orders (``order_seed``) when a check
+fails.
 """
 
 from __future__ import annotations
@@ -40,17 +46,8 @@ _STATE_BUDGET = 500_000
 
 
 class TreeBoundExceeded(RuntimeError):
-    """No image-trivial transversal found within the configured bounds.
-
-    ``budget_hit`` is False only for a search known to have run dry below
-    the state budget: it saw every reachable state, a set that does not
-    depend on the edge order, so a retry with another order fails alike.
-    The default, True, leaves a retry open.
-    """
-
-    def __init__(self, message: str, budget_hit: bool = True) -> None:
-        super().__init__(message)
-        self.budget_hit = budget_hit
+    """No image-trivial transversal found: the state budget tripped, or the
+    states ran out because H does not map onto B."""
 
 
 @dataclass(frozen=True)
@@ -95,10 +92,10 @@ def build_theta_tree(
     """Choose an image-trivial transversal word for every vertex of H's
     core.
 
-    ``word_bound`` caps the syllable length of intermediate images.  Raises
-    TreeBoundExceeded when some vertex stays unreachable within the bounds
-    (callers should check that H maps onto B first to tell the cases apart).
-    ``extension_bound`` is ignored; the benchmark harness still passes it.
+    Raises TreeBoundExceeded when some vertex is left without a word,
+    which can happen for H mapping onto B only at the state budget.
+    ``word_bound`` and ``extension_bound`` are ignored; the benchmark
+    harness still passes them.
     """
     n = graph.vertex_count
     labels = _label_order(sys, order_seed)
@@ -142,8 +139,6 @@ def build_theta_tree(
             if v2 is None:
                 continue
             img2 = multiply(sys, "B", img, ((lam, sys.theta[lam].map[g]),) if sys.theta[lam].map[g] else ())
-            if len(img2) > word_bound:
-                continue
             state = (v2, img2)
             if state in visited:
                 continue
@@ -154,32 +149,11 @@ def build_theta_tree(
                 p[v2] = q2
                 uncovered -= 1
                 kernel_closure(v2)
-    if not uncovered:
-        return ThetaTree(tuple(p))
-
-    # stage 3: pair each leftover vertex with a base loop of equal image
-    budget_hit = bool(squeue)  # states were left when the budget stopped the search
-    arrivals: dict[int, list[Word]] = {v: [] for v in range(n)}
-    for v, img in visited:  # in arrival order
-        arrivals[v].append(img)
-    base_set = {img for img in arrivals[0] if img != EMPTY}
-    for v in range(n):
-        if p[v] is not None:
-            continue
-        match = next((img for img in arrivals[v] if img in base_set), None)
-        if match is None:
-            continue
-        h = visited[(0, match)]
-        q = visited[(v, match)]
-        p[v] = multiply(sys, "G", invert(sys, "G", h), q)
-        uncovered -= 1
-        kernel_closure(v)
     if uncovered:
-        budget = f", state budget {_STATE_BUDGET} reached" if budget_hit else ""
-        missing = [v for v in range(n) if p[v] is None]
+        # states were left only when the budget stopped the search
+        reason = f"state budget {_STATE_BUDGET} reached" if squeue else "states ran out: H does not map onto B"
         raise TreeBoundExceeded(
-            f"no image-trivial transversal for vertices {missing} (word_bound={word_bound}{budget})",
-            budget_hit,
+            f"vertices without an image-trivial word: {uncovered}, first {p.index(None)} ({reason})"
         )
     return ThetaTree(tuple(p))
 

@@ -171,6 +171,11 @@ def partial_family() -> list:
     return partial_action_family(seed=16, per_shape=15)
 
 
+@pytest.fixture(scope="session")
+def growth() -> list:
+    return growth_family(seed=1, per_shape=10)
+
+
 @dataclass(frozen=True)
 class PointStabilizer:
     """H = the stabiliser of point 0 under a transitive action of Z2 * Z3 on
@@ -334,27 +339,16 @@ def _maps_onto_b(system: FactorSystem, perms: dict, m: int) -> bool:
     return classes == 1
 
 
-def six_shape_family(seed: int, per_shape: int, max_index: int = 12):
-    """Six shapes of two factors, each onto Z2 * Z2: S3*S3
-    (sign, sign), S3*Z2 (sign, id), S3*Z4 (sign, mod 2), S4*Z2 (sign, id),
-    S5*Z2 (sign, id) and Z4*Z4 (mod 2, mod 2).  Per shape, ``per_shape``
-    subgroups H, each the stabiliser of point 0 under a random transitive
-    action on 4 to ``max_index`` points for which H maps onto B, given by
-    its Schreier generators over a breadth-first tree.  Returns
-    (shape, system, generators) triples."""
-    z4_mod2 = [0, 1, 0, 1]
-    shapes = [
-        ("S3*S3", [S3, S3], [sign_map(3), sign_map(3)]),
-        ("S3*Z2", [S3, Z2], [sign_map(3), [0, 1]]),
-        ("S3*Z4", [S3, Z4], [sign_map(3), z4_mod2]),
-        ("S4*Z2", [sym(4), Z2], [sign_map(4), [0, 1]]),
-        ("S5*Z2", [sym(5), Z2], [sign_map(5), [0, 1]]),
-        ("Z4*Z4", [Z4, Z4], [z4_mod2, z4_mod2]),
-    ]
+def _point_stabilizers(seed: int, shapes, per_shape: int, max_index: int):
+    """Per shape (name, G's factors, B's factors, theta's maps),
+    ``per_shape`` subgroups H, each the stabiliser of point 0 under a
+    random transitive action on 4 to ``max_index`` points for which H maps
+    onto B, given by its Schreier generators over a breadth-first tree.
+    Returns (shape, system, generators) triples."""
     rnd = random.Random(seed)
     out = []
-    for name, factors, maps in shapes:
-        system = make_system(factors, [Z2, Z2], maps)
+    for name, factors, targets, maps in shapes:
+        system = make_system(factors, targets, maps)
         drawn = 0
         while drawn < per_shape:
             m = rnd.randint(4, max_index)
@@ -382,6 +376,44 @@ def six_shape_family(seed: int, per_shape: int, max_index: int = 12):
             out.append((name, system, tuple(gens)))
             drawn += 1
     return out
+
+
+def six_shape_family(seed: int, per_shape: int, max_index: int = 12):
+    """Six shapes of two factors, each onto Z2 * Z2: S3*S3
+    (sign, sign), S3*Z2 (sign, id), S3*Z4 (sign, mod 2), S4*Z2 (sign, id),
+    S5*Z2 (sign, id) and Z4*Z4 (mod 2, mod 2), with ``per_shape`` point
+    stabilisers each (``_point_stabilizers``)."""
+    z4_mod2 = [0, 1, 0, 1]
+    shapes = [
+        ("S3*S3", [S3, S3], [Z2, Z2], [sign_map(3), sign_map(3)]),
+        ("S3*Z2", [S3, Z2], [Z2, Z2], [sign_map(3), [0, 1]]),
+        ("S3*Z4", [S3, Z4], [Z2, Z2], [sign_map(3), z4_mod2]),
+        ("S4*Z2", [sym(4), Z2], [Z2, Z2], [sign_map(4), [0, 1]]),
+        ("S5*Z2", [sym(5), Z2], [Z2, Z2], [sign_map(5), [0, 1]]),
+        ("Z4*Z4", [Z4, Z4], [Z2, Z2], [z4_mod2, z4_mod2]),
+    ]
+    return _point_stabilizers(seed, shapes, per_shape, max_index)
+
+
+def growth_family(seed: int, per_shape: int, max_index: int = 60):
+    """Six shapes whose B grows exponentially or has three factors:
+    Z4*Z6 onto Z2*Z3 (mod 2, mod 3), Z6*Z6 onto Z3*Z3 (mod 3, mod 3),
+    Z6*Z6 onto Z2*Z3 (mod 2, mod 3), S3*S3*S3 onto Z2*Z2*Z2 (signs),
+    Z4*Z4*Z2 onto Z2*Z2*Z2 (mod 2, mod 2, id) and S3*Z4*Z6 onto Z2*Z2*Z3
+    (sign, mod 2, mod 3), with ``per_shape`` point stabilisers each
+    (``_point_stabilizers``)."""
+    z6 = cyclic(6)
+    mod2 = [0, 1, 0, 1]
+    mod3 = [g % 3 for g in range(6)]
+    shapes = [
+        ("Z4*Z6", [Z4, z6], [Z2, Z3], [mod2, mod3]),
+        ("Z6*Z6/3", [z6, z6], [Z3, Z3], [mod3, mod3]),
+        ("Z6*Z6/2", [z6, z6], [Z2, Z3], [[g % 2 for g in range(6)], mod3]),
+        ("S3*S3*S3", [S3, S3, S3], [Z2, Z2, Z2], [sign_map(3)] * 3),
+        ("Z4*Z4*Z2", [Z4, Z4, Z2], [Z2, Z2, Z2], [mod2, mod2, [0, 1]]),
+        ("S3*Z4*Z6", [S3, Z4, z6], [Z2, Z2, Z3], [sign_map(3), mod2, mod3]),
+    ]
+    return _point_stabilizers(seed, shapes, per_shape, max_index)
 
 
 def _partial_factor_action(rnd: random.Random, group, m: int):

@@ -43,9 +43,11 @@ every undirected edge once, and ``all_edge_higgins_decompose`` is
 ``higgins_decompose`` before it read the forests: the Schreier words of
 all those edges, not only of the forest's tree edges and root loops.
 ``bounded_theta_tree`` is ``build_theta_tree`` before its stage 2 lost
-its depth cap: it expands no state more than ``extension_bound`` edges
-from the covered vertices, keeps searching after every vertex has a word,
-and records every arrival as it goes.
+its depth cap and its image bound and before its stage 3 went: it expands
+no state more than ``extension_bound`` edges from the covered vertices,
+follows no image longer than ``word_bound`` syllables, keeps searching
+after every vertex has a word, records every arrival as it goes, and
+pairs each vertex left without a word with a base loop of equal image.
 ``gated_decompose_and_check`` is ``decompose_and_check`` when
 ``_assemble`` still gated each candidate before the checks: it raised
 ``CrossFactorPieceNontrivial`` on a piece of H_lam in a foreign factor and
@@ -892,18 +894,12 @@ def gated_decompose_and_check(
     reasons: list[str] = []
     for order_seed in range(bounds.tree_retries):
         try:
-            tree = build_theta_tree(sys, graph, word_bound=bounds.tree_word_bound, order_seed=order_seed)
+            tree = build_theta_tree(sys, graph, order_seed=order_seed)
             cert, report = _gated_assemble(sys, graph, tree, gens)
             return cert, report, graph
         except (TreeBoundExceeded, CrossFactorPieceNontrivial, BetaImageNotInFactor, CertificateRejected) as exc:
             last = exc
             reasons.append(f"order_seed {order_seed}: {exc}")
-            if isinstance(exc, TreeBoundExceeded) and not exc.budget_hit:
-                raise TreeBoundExceeded(
-                    "transversal search ran dry below the state budget, so every edge order "
-                    "fails alike and no retry was made: " + "; ".join(reasons),
-                    budget_hit=False,
-                ) from exc
     raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
 
 

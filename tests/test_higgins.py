@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from freedecomp import (
@@ -13,10 +15,10 @@ from freedecomp import (
     theta_word,
 )
 from freedecomp import higgins
-from freedecomp.covgraph import trace
+from freedecomp.covgraph import CoreGraph, trace
 from freedecomp.freeprod import EMPTY, invert, make_system, multiply, parse_word
 
-from conftest import Z2, dihedral_point_stabilizer, s5z2_point_stabilizer, z2z3_point_stabilizer
+from conftest import Z2, dihedral_point_stabilizer, s5z2_point_stabilizer, six_shape_family, z2z3_point_stabilizer
 from naive_enum import all_edge_higgins_decompose, bounded_theta_tree
 
 
@@ -72,20 +74,20 @@ def test_phase2_decomposition(sys_phase2, sys_phase2_gens):
     assert hd.factors[1].gens == (w(sys_phase2, "0:1 1:1 0:1 1:1 0:1 1:1 0:1"),)
 
 
-def test_tree_bound_exceeded_when_image_proper():
+def test_tree_bound_exceeded_when_image_proper(monkeypatch):
+    # H = <a, bab> misses b's image in B = Z2 * Z2, which is infinite, so
+    # only the state budget stops the search for the coset Hb
     sys = make_system([Z2, Z2], [Z2, Z2], [[0, 1], [0, 1]])
     gens = [w(sys, "0:1"), w(sys, "1:1 0:1 1:1")]
     g = complete_canon(sys, gens)
-    with pytest.raises(TreeBoundExceeded):
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 200)
+    with pytest.raises(TreeBoundExceeded, match=r"word: 1, first 1 \(state budget 200 reached\)"):
         build_theta_tree(sys, g)
 
 
 def test_state_budget_is_named_when_it_stops_the_search(sys_phase2, sys_phase2_gens, monkeypatch):
     # index 3 needs the state search; a budget of one state stops it at once
     g = complete_canon(sys_phase2, sys_phase2_gens)
-    with pytest.raises(TreeBoundExceeded) as exhausted:
-        build_theta_tree(sys_phase2, g, word_bound=0)
-    assert "state budget" not in str(exhausted.value)  # the search ran dry first
     monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
     with pytest.raises(TreeBoundExceeded, match="state budget 1 reached"):
         build_theta_tree(sys_phase2, g)
@@ -172,45 +174,14 @@ def test_inclusion_of_conjugated_stabilizers(corpus):
                     assert membership(sys, core, word)
 
 
-def test_tree_word_bound_zero(sys_phase2, sys_phase2_gens):
-    # with no image budget, only kernel-edge paths remain; vertex 2 of the
-    # index-3 example then has no image-trivial word
-    g = complete_canon(sys_phase2, sys_phase2_gens)
-    with pytest.raises(TreeBoundExceeded):
-        build_theta_tree(sys_phase2, g, word_bound=0)
-
-
 def test_retry_loop_raises_after_exhaustion(sys_phase2, sys_phase2_gens, monkeypatch):
-    # a search that runs dry is not retried; one the state budget stops is
+    # a search the state budget stops is retried in every edge order
     from freedecomp.conjecture import Bounds, conjecture_decompose
 
-    monkeypatch.setattr(Bounds, "tree_word_bound", 0)
-    with pytest.raises(TreeBoundExceeded, match="no retry was made: order_seed 0: no image-trivial") as dry:
-        conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
-    assert "order_seed 1" not in str(dry.value) and not dry.value.budget_hit
-    monkeypatch.undo()
     monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
     with pytest.raises(TreeBoundExceeded, match="all 8 transversal retries rejected") as stopped:
         conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
-    assert str(stopped.value).count("state budget 1 reached") == 8 and stopped.value.budget_hit
-
-
-def test_a_dry_search_fails_alike_in_every_edge_order(corpus):
-    # without the state budget the search visits every reachable state, so
-    # the cosets it leaves without a word do not depend on the edge order
-    dry = 0
-    for inst in corpus[:60]:
-        for word_bound in (0, 1):
-            try:
-                build_theta_tree(inst.system, inst.graph, word_bound=word_bound)
-            except TreeBoundExceeded as exc:
-                assert not exc.budget_hit
-                for order_seed in range(1, 8):
-                    with pytest.raises(TreeBoundExceeded) as again:
-                        build_theta_tree(inst.system, inst.graph, word_bound=word_bound, order_seed=order_seed)
-                    assert str(again.value) == str(exc)
-                dry += 1
-    assert dry > 10
+    assert str(stopped.value).count("state budget 1 reached") == 8
 
 
 def test_tree_determinism(sys_phase2, sys_phase2_gens):
@@ -269,11 +240,11 @@ def test_forest_split_matches_all_edge_oracle(corpus):
     assert cases > 300 and fewer > 0
 
 
-def depth_oracle_cases(corpus):
+def depth_oracle_cases(corpus, growth):
     """(system, graph, order_seed) triples: the test corpus's surjective
     systems with order_seed 0-2, the scaling family with a fixed point of
-    Z2, S5*Z2 point stabilisers, and the dihedral stabilisers whose
-    farthest coset the depth-capped search still reaches."""
+    Z2, S5*Z2 point stabilisers, the dihedral stabilisers whose farthest
+    coset the depth-capped search still reaches, and the growth family."""
     from freedecomp.conjecture import check_h_theta_surjective, ThetaNotSurjectiveOntoB
 
     for inst in corpus:
@@ -292,51 +263,78 @@ def depth_oracle_cases(corpus):
     for n in range(2, 67):
         system, gens = dihedral_point_stabilizer(n)
         yield system, complete_graph(system, build_core(system, gens), n), 0
+    for _, system, gens in growth:
+        yield system, build_core(system, gens), 0  # finite index: the core is complete
 
 
-def test_search_matches_depth_capped_oracle(corpus):
+def test_search_matches_depth_capped_oracle(corpus, growth, monkeypatch):
     # breadth-first arrivals give the same words in the same order, so
     # wherever the depth-capped search finds a transversal, stopping once
-    # every coset has a word finds the same one
+    # every coset has a word finds the same one.  The oracle searches on
+    # until its state budget; where B grows exponentially, 20 000 states
+    # keep it quick and still reach every coset here.
     found = 0
-    for system, graph, order_seed in depth_oracle_cases(corpus):
-        try:
-            expected = bounded_theta_tree(system, graph, order_seed=order_seed)
-        except TreeBoundExceeded:
-            continue
-        assert build_theta_tree(system, graph, order_seed=order_seed) == expected
-        found += 1
-    assert found > 500
-
-
-def test_stage3_pairing_matches_depth_capped_oracle(corpus, monkeypatch):
-    # a small state budget stops stage 2 with cosets left, so stage 3 pairs
-    # them with base loops; ``invert`` is called only by that pairing
-    paired = 0
-    real_invert = higgins.invert
-
-    def counting_invert(*args):
-        nonlocal paired
-        paired += 1
-        return real_invert(*args)
-
-    monkeypatch.setattr(higgins, "invert", counting_invert)
-    cases = list(depth_oracle_cases(corpus))
-    for budget in (5, 20):
-        monkeypatch.setattr(higgins, "_STATE_BUDGET", budget)
-        for system, graph, order_seed in cases:
+    for system, graph, order_seed in depth_oracle_cases(corpus, growth):
+        with monkeypatch.context() as patched:
+            patched.setattr(higgins, "_STATE_BUDGET", 20_000)
             try:
                 expected = bounded_theta_tree(system, graph, order_seed=order_seed)
             except TreeBoundExceeded:
-                with pytest.raises(TreeBoundExceeded):
-                    build_theta_tree(system, graph, order_seed=order_seed)
                 continue
-            tree = build_theta_tree(system, graph, order_seed=order_seed)
-            assert tree == expected
+        assert build_theta_tree(system, graph, order_seed=order_seed) == expected
+        found += 1
+    assert found > 500 + len(growth)
+
+
+def test_search_is_complete_once_h_maps_onto_b(corpus, partial_family, growth):
+    # for a coset Hu and h in H with theta(h) = theta(u)^-1, the normal
+    # form of h u traces to Hu in the folded, saturated core with trivial
+    # image, so every edge order gives every vertex a word
+    from freedecomp.conjecture import check_h_theta_surjective, ThetaNotSurjectiveOntoB
+
+    cases = [(inst.system, inst.gens) for inst in corpus]
+    cases += [(system, gens) for _, system, gens in six_shape_family(seed=31, per_shape=4, max_index=16)]
+    cases += [(ps.system, ps.gens) for ps in partial_family]
+    cases += [(system, gens) for _, system, gens in growth]
+    searched = 0
+    for system, gens in cases:
+        try:
+            check_h_theta_surjective(system, gens)
+        except ThetaNotSurjectiveOntoB:
+            continue
+        core = build_core(system, gens)
+        for order_seed in range(8):
+            tree = build_theta_tree(system, core, order_seed=order_seed)
             for v, word in enumerate(tree.transversal):
-                assert theta_word(system, word) == EMPTY
-                assert trace(graph, word, 0) == v
-    assert paired > 0
+                assert theta_word(system, word) == EMPTY and trace(core, word) == v
+        searched += 1
+    assert searched > 300
+
+
+def test_bound_message_names_a_count_and_the_first_vertex(monkeypatch):
+    # the double cover of an index-60 coset graph that records the parity
+    # of a, the one letter with nontrivial image in B = Z2: a vertex of the
+    # odd sheet has no image-trivial word, and the finitely many states
+    # run out
+    ps = z2z3_point_stabilizer(60, fixed=(2, 0))
+    base = complete_graph(ps.system, build_core(ps.system, ps.gens), 60)
+    n = base.vertex_count
+    rows = tuple(
+        {(lam, g): u + n * ((v >= n) ^ (lam == 0)) for (lam, g), u in base.action[v % n].items()}
+        for v in range(2 * n)
+    )
+    cover = CoreGraph(vertex_count=2 * n, action=rows, complete=True)
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 4 * n + 1)  # more than the states, 2 per vertex
+    with pytest.raises(TreeBoundExceeded) as dry:
+        build_theta_tree(ps.system, cover)
+    assert str(dry.value) == "vertices without an image-trivial word: 60, first 60 (states ran out: H does not map onto B)"
+    monkeypatch.setattr(higgins, "_STATE_BUDGET", 50)
+    with pytest.raises(TreeBoundExceeded) as stopped:
+        build_theta_tree(ps.system, cover)
+    count, first = re.fullmatch(
+        r"vertices without an image-trivial word: (\d+), first (\d+) \(state budget 50 reached\)", str(stopped.value)
+    ).groups()
+    assert n < int(count) < 2 * n and 0 < int(first) < n
 
 
 def test_dihedral_search_reaches_past_the_old_depth_cap():
