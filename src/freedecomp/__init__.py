@@ -51,7 +51,6 @@ from .freeprod import (
     parse_word,
     theta_word,
 )
-from .higgins import HigginsDecomposition, ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
 from .kurosh import KuroshDecomposition, KuroshPiece, kurosh_decompose
 from .verify import (
     MalformedCertificate,

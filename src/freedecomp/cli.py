@@ -1,8 +1,8 @@
 """Command-line interface: JSON in, certificates/reports/DOT out.
 
 Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
-exceeded (the coset bound of ``graph --complete``, or the transversal
-search's state budget in ``decompose``), 3 invalid input (including
+exceeded (the coset bound of ``graph --complete``, the only bound a command
+has, so ``decompose`` never exits 2), 3 invalid input (including
 command-line usage errors and output paths that cannot be written;
 ``decompose`` then removes the outputs it already wrote), 4 internal error
 (an uncaught exception, reported as ``internal error: <type>: <msg>``).
@@ -29,7 +29,6 @@ from .conjecture import (
 from .covgraph import IndexBoundExceeded, build_core, complete_graph, membership, to_dot
 from .fingroup import GroupTableError, NotAHomomorphism, NotSurjective, cyclic, sym, validate_group
 from .freeprod import FactorSystem, format_word, make_system, parse_word
-from .higgins import TreeBoundExceeded
 from .kurosh import kurosh_decompose
 from .verify import MalformedCertificate, VerificationReport, verify_certificate
 
@@ -158,7 +157,6 @@ def certificate_to_json(cert: ConjectureCertificate) -> dict:
             }
             for fc in cert.factors
         ],
-        "tree_transversal": [format_word(w) for w in cert.tree_transversal],
     }
 
 
@@ -171,8 +169,9 @@ def certificate_from_json(system: FactorSystem, data: dict) -> ConjectureCertifi
         except (ValueError, TypeError) as exc:
             raise MalformedCertificate(str(exc)) from exc
 
-    # the provenance keys (beta_primes, g_corrections, tree_transversal)
-    # are optional: no check reads them
+    # the provenance keys (beta_primes, g_corrections, and the
+    # tree_transversal of older certificates) are optional: no check
+    # reads them
     try:
         factors = tuple(
             FactorCertificate(
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (IndexBoundExceeded, TreeBoundExceeded) as exc:
+    except IndexBoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=_sys.stderr)
         return EXIT_BOUND
     except (

@@ -1,24 +1,51 @@
-"""Factor-wise free decomposition pipeline with image-trivial representatives.
+"""Factor-wise free decomposition read off H's Kurosh basis.
 
-Pipeline: build H's core, choose an image-trivial transversal of its
-vertices, split H into per-factor subgroups H_lam, decompose each H_lam
-into vertex-group pieces plus a free part, then correct each piece
-representative beta' by a factor element g with equal image so that
-x = g^-1 beta' dies in B while conjugating the factor identically.  The
-result is a certificate carrying the claim (representatives, vertex groups
-and free bases), which the verify module re-checks from scratch, with the
-transversal and the corrections that led to it, which no check reads.
+Pipeline: build H's core, check that H maps onto B, read a Kurosh basis of
+H off the core (``kurosh_decompose``), reduce that basis by Nielsen moves
+until every image lies in a single factor of B (``_reduce``), assemble the
+certificate, and judge it once by the verifier's checks C1-C7, run on the
+already-built core.  There is one candidate per system: no search, no
+retry and no bound.  H's core is the only graph: it is never completed, so
+H may have infinite index (see the verify module docstring).
 
-H's core is the only graph: it is never completed, so H may have
-infinite index, and its size is bounded by the generators' syllables (see
-the verify module docstring).  H is checked to map onto B first, which
-makes the transversal search complete (see the higgins module docstring),
-so only its state budget can stop it; which image-trivial transversal it
-returns depends on the edge order.  Each candidate certificate is judged
-by the verifier's checks C1-C7 alone, run on the already-built core, and
-a rejected candidate, or a search stopped by the budget, is retried with
-permuted edge orders before giving up.  The retry count is a fixed
-constant of ``Bounds``.
+The basis.  The Kurosh read-off writes H as the free product of its pieces
+p S p^-1 (p = x^-1 for the representative x, S a stabilizer in G_lam) and
+a free group on its free words f, each read from an edge of some factor.
+
+The moves.  Each move is an automorphism of that free product, so the
+basis stays a free-product basis of H:
+- f -> f u or f -> u f, where u is another free word or its inverse, or an
+  element p' s p'^-1 of a piece: the inverse move multiplies by u^-1, and
+  the other basis members are untouched;
+- p -> u p, where u is another free word or its inverse, or an element of
+  another piece: this conjugates the piece by u, which lies in the free
+  product of the other basis members, so conjugating by u^-1 undoes it.
+  A piece is never conjugated by a word that uses the piece itself.
+The moves are judged on the cached images in B.  A free word costs
+len(theta(f)) - 1, and 0 when its image is trivial; a piece costs
+len(theta(p)), less one when the last syllable of theta(p) lies in B_lam.
+Each round, every element of positive cost takes the move that lowers its
+cost most, stopping its scan at the first move to cost 0, and rounds repeat
+until no move is taken.  Each move lowers one cost and leaves the others,
+so the nonnegative integer total falls and the reduction terminates.
+
+Why C1-C7 then pass, once every cost is 0.  A piece has theta(p) = 1 or
+theta(p) = b in B_lam; its representative is x = g^-1 p^-1 for g in G_lam
+with theta(g) = b^-1 (``solve_preimage``), so theta(x) = 1 (C1), and x
+conjugates G_lam like p^-1 does.  Since u lies in H, the moved piece
+u p S p^-1 u^-1 is still H cap G_lam^x (C3), and H u p = H p puts x in the
+same lam-component as before (C4); the base's piece has p empty, cost 0,
+and is never moved.  A free word goes to the factor of its image, or to
+the factor of its edge when its image is trivial.  Every generating word of
+H_lam then has its image in B_lam; the images of the whole basis generate
+theta(H) = B, so the retraction of B onto B_lam shows that those of H_lam
+generate B_lam (C2).  The basis generates H (C5) and has as many free
+words as H's free rank (C7).
+
+Completeness of this greedy reduction is not proven: an element whose cost
+no single move lowers stays positive, its piece is left uncorrected or its
+free word left in the factor of its edge, and the certificate fails C1 or
+C2, which raises CertificateRejected.
 """
 
 from __future__ import annotations
@@ -26,13 +53,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import ClassVar
 
 from .covgraph import CoreGraph, build_core
 from .fingroup import solve_preimage
 from .freeprod import FactorSystem, Word, invert, multiply, syllable_word, theta_word
-from .higgins import ThetaTree, TreeBoundExceeded, build_theta_tree, higgins_decompose
-from .kurosh import kurosh_decompose
+from .kurosh import KuroshDecomposition, kurosh_decompose
 from .verify import VerificationReport, check_certificate
 
 
@@ -41,19 +68,17 @@ class ThetaNotSurjectiveOntoB(RuntimeError):
 
 
 class CertificateRejected(RuntimeError):
-    """The assembled certificate failed one of the checks C1-C7."""
+    """The certificate failed one of the checks C1-C7."""
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """The coset bound, the one settable bound, and the fixed retry count
-    of the transversal search.
+    """The coset bound, the one settable bound.
 
-    ``decompose_and_check`` reads ``tree_retries``; only
-    ``graph --complete`` reads ``max_cosets``.  ``tree_word_bound``,
-    ``tree_extension_bound``, ``free_test_len`` and ``seed`` are ignored;
-    the benchmark harness (``perfbench/tracing.py``) still reads them off
-    an instance.
+    Only ``graph --complete`` reads ``max_cosets``.  ``tree_word_bound``,
+    ``tree_retries``, ``tree_extension_bound``, ``free_test_len`` and
+    ``seed`` are read by nothing in the package; the benchmark harness
+    (``perfbench/tracing.py``) still reads them off an instance.
     """
 
     max_cosets: int = 10_000
@@ -78,9 +103,13 @@ class FactorCertificate:
 
 @dataclass(frozen=True)
 class ConjectureCertificate:
+    """The claim, per factor, under the system's hash.  ``tree_transversal``
+    is empty on what ``decompose`` writes; it is kept for certificates that
+    carry one and for the benchmark harness, and no check reads it."""
+
     system_hash: str
     factors: tuple[FactorCertificate, ...]
-    tree_transversal: tuple[Word, ...]
+    tree_transversal: tuple[Word, ...] = ()
 
 
 def system_hash(sys: FactorSystem) -> str:
@@ -113,74 +142,156 @@ def check_h_theta_surjective(sys: FactorSystem, h_gens, max_cosets: int | None =
 def conjecture_decompose(sys: FactorSystem, h_gens, bounds: Bounds | None = None) -> ConjectureCertificate:
     """Full decomposition of the subgroup generated by ``h_gens``.
 
-    Raises ThetaNotSurjectiveOntoB when the image precheck fails and,
-    when every transversal retry was rejected, an error of the last
-    retry's kind: TreeBoundExceeded when its search hit the state budget,
-    CertificateRejected when C1-C7 failed.  Either message names the
-    reason of every retry.
+    Raises ThetaNotSurjectiveOntoB when the image precheck fails and
+    CertificateRejected, naming the failed checks, when C1-C7 fail.
+    ``bounds`` is ignored; the benchmark harness still passes it.
     """
-    return decompose_and_check(sys, h_gens, bounds)[0]
+    return decompose_and_check(sys, h_gens)[0]
 
 
 def decompose_and_check(
-    sys: FactorSystem, h_gens, bounds: Bounds | None = None
+    sys: FactorSystem, h_gens
 ) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
     """``conjecture_decompose`` plus the passing report of checks C1-C7 and
     the core of H they ran on."""
-    bounds = bounds or Bounds()
     gens = canonical_generators(h_gens)
     graph = build_core(sys, gens)
     check_h_theta_surjective(sys, gens)
-
-    reasons: list[str] = []
-    for order_seed in range(bounds.tree_retries):
-        try:
-            tree = build_theta_tree(sys, graph, order_seed=order_seed)
-            cert, report = _assemble(sys, graph, tree, gens)
-            return replace(cert, system_hash=system_hash(sys)), report, graph
-        except (TreeBoundExceeded, CertificateRejected) as exc:
-            last = exc
-            reasons.append(f"order_seed {order_seed}: {exc}")
-    raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
+    cert = _assemble(sys, *_reduce(sys, kurosh_decompose(sys, graph)))
+    report = check_certificate(sys, graph, cert, gens)
+    if not report.verdict:
+        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+        raise CertificateRejected(f"failed {failed}")
+    # check_certificate reads no system hash, so only the accepted
+    # certificate is hashed
+    return replace(cert, system_hash=system_hash(sys)), report, graph
 
 
-def _assemble(
-    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, gens: tuple[Word, ...]
-) -> tuple[ConjectureCertificate, VerificationReport]:
-    """The certificate of one transversal candidate, without its system
-    hash, and its passing report.
+def _free_cost(image: Word) -> int:
+    return len(image) - 1 if image else 0
 
-    Each Kurosh piece of H_lam is listed under its own factor, and its
-    representative beta' is corrected only when theta(beta') is a single
-    element of that factor; otherwise x = beta' with an empty correction.
-    The candidate is judged by checks C1-C7 alone: a failure raises
-    CertificateRejected naming the failed checks.
+
+def _piece_cost(lam: int, image: Word) -> int:
+    return len(image) - (image[-1][0] == lam) if image else 0
+
+
+def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
+    """Nielsen-reduce the Kurosh basis ``kd`` (see the module docstring).
+
+    Returns the pieces as ``[lam, p, stabilizer, theta(p)]`` and the free
+    words as ``[lam of the edge, f, theta(f)]``, in ``kd``'s order.  Moves
+    are judged on the images; a G-word is multiplied only for the move
+    taken.
     """
-    hd = higgins_decompose(sys, graph, tree)
+    def gmul(u: Word, v: Word) -> Word:
+        return multiply(sys, "G", u, v)
+
+    def bmul(u: Word, v: Word) -> Word:
+        return multiply(sys, "B", u, v)
+
+    free = [[lam, f, theta_word(sys, f)] for lam, f in zip(kd.free_factors, kd.free_basis)]
+    pieces = []
+    for piece in kd.pieces:
+        p = invert(sys, "G", piece.rep)
+        pieces.append([piece.lam, p, piece.stabilizer, theta_word(sys, p)])
+
+    def units(j: int) -> list[tuple[int, Word]]:
+        # (s, theta(p s p^-1)) for the first s of each nontrivial image
+        lam, _, stab, image = pieces[j]
+        first: dict[int, int] = {}
+        for s in stab[1:]:
+            first.setdefault(sys.theta[lam].map[s], s)
+        first.pop(0, None)
+        inv_image = invert(sys, "B", image)
+        return [(s, bmul(bmul(image, ((lam, b),)), inv_image)) for b, s in first.items()]
+
+    piece_units = [units(j) for j in range(len(pieces))]
+
+    def candidates(own_free: int, own_piece: int):
+        # (image of u, ("f", k, +-1) for u = f_k^+-1 or ("p", j, s) for
+        # u = p_j s p_j^-1), skipping u of trivial image, which move nothing
+        for k, (_, _, y) in enumerate(free):
+            if k != own_free and y:
+                yield y, ("f", k, 1)
+                yield invert(sys, "B", y), ("f", k, -1)
+        for j, unit in enumerate(piece_units):
+            if j != own_piece:
+                for s, y in unit:
+                    yield y, ("p", j, s)
+
+    def best_move(image: Word, cost, own_free: int, own_piece: int, sides: tuple[bool, ...]):
+        """(new image, u, left?) of the move that lowers ``cost`` most, the
+        first one to reach 0, or None."""
+        best_cost, best = cost(image), None
+        for y, u in candidates(own_free, own_piece):
+            for left in sides:
+                z = bmul(y, image) if left else bmul(image, y)
+                c = cost(z)
+                if c < best_cost:
+                    best_cost, best = c, (z, u, left)
+                    if not c:
+                        return best
+        return best
+
+    def word(u: tuple[str, int, int]) -> Word:
+        kind, index, which = u
+        if kind == "f":
+            f = free[index][1]
+            return f if which == 1 else invert(sys, "G", f)
+        lam, p = pieces[index][:2]
+        return gmul(gmul(p, ((lam, which),)), invert(sys, "G", p))
+
+    moved = True
+    while moved:
+        moved = False
+        for i, entry in enumerate(free):
+            if _free_cost(entry[2]):
+                move = best_move(entry[2], _free_cost, i, -1, (False, True))
+                if move:
+                    z, u, left = move
+                    entry[1:] = gmul(word(u), entry[1]) if left else gmul(entry[1], word(u)), z
+                    moved = True
+        for j, entry in enumerate(pieces):
+            cost = partial(_piece_cost, entry[0])
+            if cost(entry[3]):
+                move = best_move(entry[3], cost, -1, j, (True,))
+                if move:
+                    z, u, _ = move
+                    entry[1], entry[3] = gmul(word(u), entry[1]), z
+                    piece_units[j] = units(j)
+                    moved = True
+    return pieces, free
+
+
+def _assemble(sys: FactorSystem, pieces: list, free: list) -> ConjectureCertificate:
+    """The certificate of a reduced basis, without its system hash.
+
+    A piece p S p^-1 has beta' = p^-1, corrected by g in G_lam with
+    theta(g) = theta(beta') when that is a single element of its factor,
+    and x = g^-1 beta'; a free word goes to the factor of its image, or of
+    its edge when its image is trivial or spans factors.
+    """
     k = sys.num_factors
-    beta_primes, g_corrections, reps, vertex_groups = ([[] for _ in range(k)] for _ in range(4))
-    free_bases: list[tuple[Word, ...]] = [()] * k
-    for fd in hd.factors:
-        if not fd.gens:
-            continue
-        kd = kurosh_decompose(sys, build_core(sys, fd.gens))
-        free_bases[fd.lam] = kd.free_basis
-        for piece in kd.pieces:
-            lam, beta_prime = piece.lam, piece.rep
-            image = theta_word(sys, beta_prime)
-            g_elem = 0
-            if len(image) == 1 and image[0][0] == lam:
-                g_elem = solve_preimage(sys.theta[lam], image[0][1])
-            g_word = syllable_word(lam, g_elem)
-            # the piece's word beta'^-1 s beta' for s is x^-1 (g^-1 s g) x,
-            # so the vertex group lists the piece's words by g^-1 s g
-            group = sys.factors_g[lam]
-            ginv = group.inv[g_elem]
-            conj = (group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer[1:])
-            beta_primes[lam].append(beta_prime)
-            g_corrections[lam].append(g_word)
-            reps[lam].append(multiply(sys, "G", invert(sys, "G", g_word), beta_prime))
-            vertex_groups[lam].append(tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens))))
+    beta_primes, g_corrections, reps, vertex_groups, free_bases = ([[] for _ in range(k)] for _ in range(5))
+    for lam, p, stabilizer, _ in pieces:
+        beta_prime = invert(sys, "G", p)
+        image = theta_word(sys, beta_prime)
+        g_elem = 0
+        if len(image) == 1 and image[0][0] == lam:
+            g_elem = solve_preimage(sys.theta[lam], image[0][1])
+        g_word = syllable_word(lam, g_elem)
+        # the piece's word p s p^-1 for s is x^-1 (g^-1 s g) x, so the
+        # vertex group lists the piece's words by g^-1 s g
+        group = sys.factors_g[lam]
+        ginv = group.inv[g_elem]
+        conj = (group.mul[group.mul[ginv][s]][g_elem] for s in stabilizer[1:])
+        words = (multiply(sys, "G", multiply(sys, "G", p, ((lam, s),)), beta_prime) for s in stabilizer[1:])
+        beta_primes[lam].append(beta_prime)
+        g_corrections[lam].append(g_word)
+        reps[lam].append(multiply(sys, "G", invert(sys, "G", g_word), beta_prime))
+        vertex_groups[lam].append(tuple(w for _, w in sorted(zip(conj, words))))
+    for lam, f, image in free:
+        free_bases[image[0][0] if len(image) == 1 else lam].append(f)
 
     factors = tuple(
         FactorCertificate(
@@ -189,15 +300,8 @@ def _assemble(
             g_corrections=tuple(g_corrections[lam]),
             reps=tuple(reps[lam]),
             vertex_groups=tuple(vertex_groups[lam]),
-            f_basis=free_bases[lam],
+            f_basis=tuple(free_bases[lam]),
         )
         for lam in range(k)
     )
-    # check_certificate reads no system hash, so only the accepted
-    # certificate is hashed, by the caller
-    cert = ConjectureCertificate(system_hash="", factors=factors, tree_transversal=tree.transversal)
-    report = check_certificate(sys, graph, cert, gens)
-    if not report.verdict:
-        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
-        raise CertificateRejected(f"failed {failed}")
-    return cert, report
+    return ConjectureCertificate(system_hash="", factors=factors)

@@ -8,7 +8,8 @@ spanning tree and the transversal word p_v of every vertex, and marks the
 component-tree edges it uses.  Per factor component this extracts a
 vertex-group piece (the component stabilizer conjugated back to the base
 vertex by the transversal) and a free basis of Schreier elements, one per
-component-tree edge the global tree does not use.
+component-tree edge the global tree does not use, each with the factor of
+its edge.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class KuroshDecomposition:
     pieces: tuple[KuroshPiece, ...]
     free_basis: tuple[Word, ...]
     free_rank: int
+    free_factors: tuple[int, ...]
+    """The factor of the component-tree edge each free-basis word was read
+    from."""
 
 
 def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition:
@@ -46,7 +50,7 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
     p_N is the transversal word and conjugation reads K^x = x^-1 K x;
     components with trivial stabilizer are omitted.  The free basis
     collects the Schreier words p_u g p_v^-1 of the component-tree edges
-    (u, lam, g, v) outside the global tree.
+    (u, lam, g, v) outside the global tree, and lam for each word.
     """
     groups = sys.factors_g
     k, n = sys.num_factors, graph.vertex_count
@@ -86,7 +90,7 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
             vg = tuple(multiply(sys, "G", multiply(sys, "G", p_root, ((lam, s),)), p_inv) for s in stab[1:])
             pieces.append(KuroshPiece(lam=lam, rep=p_inv, stabilizer=stab, vertex_group_gens=vg))
 
-    basis = []
+    basis, factors = [], []
     for lam, forest in enumerate(forests):
         parent, via, used = forest.parent, forest.via, in_tree[lam]
         for v in forest.order:
@@ -94,9 +98,11 @@ def kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDecomposition
             if g and not used[v]:
                 w = multiply(sys, "G", p[parent[v]], ((lam, g),))
                 basis.append(multiply(sys, "G", w, invert(sys, "G", p[v])))
+                factors.append(lam)
 
     return KuroshDecomposition(
         pieces=tuple(pieces),
         free_basis=tuple(basis),
         free_rank=len(basis),
+        free_factors=tuple(factors),
     )

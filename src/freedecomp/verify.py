@@ -5,8 +5,9 @@ H_lam = *(H cap G_lam^x) * F_lam, where factor lam lists the pieces
 H cap G_lam^x (its vertex groups, one per representative x) and a free
 basis of F_lam.  The claim is the representatives, the vertex groups and
 the free bases.  It mentions none of the provenance fields (the
-uncorrected representatives beta', the corrections g and the transversal
-words), so no check reads them and a certificate without them verifies.
+uncorrected representatives beta', the corrections g, and the transversal
+words older certificates carry), so no check reads them and a certificate
+without them verifies.
 
 The checks run on H's core: the folded, saturated graph ``build_core``
 makes from H's generators, complete or not.  Membership on a core is exact:

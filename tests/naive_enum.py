@@ -53,12 +53,18 @@ pairs each vertex left without a word with a base loop of equal image.
 ``CrossFactorPieceNontrivial`` on a piece of H_lam in a foreign factor and
 ``BetaImageNotInFactor`` on a representative whose image is not a single
 element of its factor, where ``_assemble`` now leaves both to C1-C7.
+``higgins_decompose_and_check`` is ``decompose_and_check`` before it read
+the certificate off H's Kurosh basis: up to ``Bounds.tree_retries``
+image-trivial transversals of H's core (``build_theta_tree`` in permuted
+edge orders), each split into generators of H_lam (``higgins_decompose``),
+one core and Kurosh decomposition per factor, the beta'/g correction of
+each piece, and the first candidate that passes C1-C7.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from freedecomp import covgraph, higgins
@@ -524,7 +530,7 @@ def spanning_kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDeco
         )
 
     tau = {_canonical_edge(sys, e) for e in data.global_tree}
-    basis = []
+    basis, factors = [], []
     for comp in data.components:
         for edge in comp.tree:
             if _canonical_edge(sys, edge) in tau:
@@ -532,11 +538,13 @@ def spanning_kurosh_decompose(sys: FactorSystem, graph: CoreGraph) -> KuroshDeco
             u, lam, g, v = edge
             w = multiply(sys, "G", multiply(sys, "G", p[u], ((lam, g),)), invert(sys, "G", p[v]))
             basis.append(w)
+            factors.append(lam)
 
     return KuroshDecomposition(
         pieces=tuple(pieces),
         free_basis=tuple(basis),
         free_rank=len(basis),
+        free_factors=tuple(factors),
     )
 
 
@@ -916,7 +924,7 @@ def _gated_assemble(
         if fd.gens:
             kd = kurosh_decompose(sys, build_core(sys, fd.gens))
         else:
-            kd = KuroshDecomposition(pieces=(), free_basis=(), free_rank=0)
+            kd = KuroshDecomposition(pieces=(), free_basis=(), free_rank=0, free_factors=())
 
         group = sys.factors_g[lam]
         beta_primes: list[Word] = []
@@ -964,6 +972,84 @@ def _gated_assemble(
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )
+    report = check_certificate(sys, graph, cert, gens)
+    if not report.verdict:
+        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+        raise CertificateRejected(f"failed {failed}")
+    return cert, report
+
+
+def higgins_decompose_and_check(
+    sys: FactorSystem, h_gens, bounds: Bounds | None = None
+) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
+    """``decompose_and_check`` by transversal search, Higgins split and
+    per-factor Kurosh step, retried in ``bounds.tree_retries`` edge orders.
+
+    Raises ThetaNotSurjectiveOntoB when the image precheck fails and, when
+    every retry was rejected, an error of the last retry's kind naming the
+    reason of every retry: TreeBoundExceeded when its search hit the state
+    budget, CertificateRejected when C1-C7 failed.
+    """
+    bounds = bounds or Bounds()
+    gens = canonical_generators(h_gens)
+    graph = build_core(sys, gens)
+    check_h_theta_surjective(sys, gens)
+
+    reasons: list[str] = []
+    for order_seed in range(bounds.tree_retries):
+        try:
+            tree = build_theta_tree(sys, graph, order_seed=order_seed)
+            cert, report = _higgins_assemble(sys, graph, tree, gens)
+            return replace(cert, system_hash=system_hash(sys)), report, graph
+        except (TreeBoundExceeded, CertificateRejected) as exc:
+            last = exc
+            reasons.append(f"order_seed {order_seed}: {exc}")
+    raise type(last)(f"all {bounds.tree_retries} transversal retries rejected: " + "; ".join(reasons))
+
+
+def _higgins_assemble(
+    sys: FactorSystem, graph: CoreGraph, tree: ThetaTree, gens: tuple[Word, ...]
+) -> tuple[ConjectureCertificate, VerificationReport]:
+    """The certificate of one transversal candidate, without its system
+    hash, and its passing report: each Kurosh piece of H_lam listed under
+    its own factor, its beta' corrected only when theta(beta') is a single
+    element of that factor, and the candidate judged by C1-C7 alone."""
+    hd = higgins_decompose(sys, graph, tree)
+    k = sys.num_factors
+    beta_primes, g_corrections, reps, vertex_groups = ([[] for _ in range(k)] for _ in range(4))
+    free_bases: list[tuple[Word, ...]] = [()] * k
+    for fd in hd.factors:
+        if not fd.gens:
+            continue
+        kd = kurosh_decompose(sys, build_core(sys, fd.gens))
+        free_bases[fd.lam] = kd.free_basis
+        for piece in kd.pieces:
+            lam, beta_prime = piece.lam, piece.rep
+            image = theta_word(sys, beta_prime)
+            g_elem = 0
+            if len(image) == 1 and image[0][0] == lam:
+                g_elem = solve_preimage(sys.theta[lam], image[0][1])
+            g_word = syllable_word(lam, g_elem)
+            group = sys.factors_g[lam]
+            ginv = group.inv[g_elem]
+            conj = (group.mul[group.mul[ginv][s]][g_elem] for s in piece.stabilizer[1:])
+            beta_primes[lam].append(beta_prime)
+            g_corrections[lam].append(g_word)
+            reps[lam].append(multiply(sys, "G", invert(sys, "G", g_word), beta_prime))
+            vertex_groups[lam].append(tuple(w for _, w in sorted(zip(conj, piece.vertex_group_gens))))
+
+    factors = tuple(
+        FactorCertificate(
+            lam=lam,
+            beta_primes=tuple(beta_primes[lam]),
+            g_corrections=tuple(g_corrections[lam]),
+            reps=tuple(reps[lam]),
+            vertex_groups=tuple(vertex_groups[lam]),
+            f_basis=free_bases[lam],
+        )
+        for lam in range(k)
+    )
+    cert = ConjectureCertificate(system_hash="", factors=factors, tree_transversal=tree.transversal)
     report = check_certificate(sys, graph, cert, gens)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")

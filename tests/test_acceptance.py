@@ -264,7 +264,7 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
     f1.write_text(json.dumps(bad), encoding="utf-8")
     code_nonsurj = main(["decompose", str(f1), "-o", str(tmp_path / "c1.json")])
 
-    # image of H proper in B: detected before the transversal search
+    # image of H proper in B: detected before the Kurosh read-off
     from freedecomp.freeprod import make_system
     from conftest import Z2
 
@@ -292,6 +292,6 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
         _report(
             7,
             ok,
-            f"non-surjective theta exit {code_nonsurj}, image precheck before tree search, "
+            f"non-surjective theta exit {code_nonsurj}, image precheck before the Kurosh read-off, "
             f"trivial subgroup exit {code_trivial} with free rank {trivial['free_rank']}",
         )

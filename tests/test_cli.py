@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedecomp import build_core as real_build_core
-from freedecomp import cli, conjecture, covgraph, fingroup, higgins, verify
+from freedecomp import cli, conjecture, covgraph, fingroup, verify
 from freedecomp.cli import main
 from freedecomp.conjecture import canonical_generators
 from freedecomp.fingroup import FiniteGroup, sym
@@ -75,18 +75,16 @@ def test_decompose_deterministic_bytes(tmp_path):
     assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
-def test_decompose_bound_exceeded(tmp_path, capsys, monkeypatch):
-    # decompose reads no coset bound, from the file or a flag; the bound
-    # it can still exceed is the transversal search's state budget
+def test_decompose_bound_exceeded(tmp_path, capsys):
+    # decompose reads no coset bound, from the file or a flag, and has no
+    # other bound, so it never exits 2; graph --complete still does
     sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"max_cosets": 1}))
     assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 0
     assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"]) == 3
     assert "unrecognized arguments: --max-cosets 1" in capsys.readouterr().err
-    # the index-3 subgroup needs the search past single kernel edges
     phase2 = write(tmp_path, "phase2.json", dict(SYS_A, subgroup=["0:1", "1:1 0:1 1:1 0:1 1:1"]))
-    monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
-    assert main(["decompose", phase2, "-o", str(tmp_path / "c2.json")]) == 2
-    assert "bound exceeded: all 8 transversal retries rejected" in capsys.readouterr().err
+    assert main(["graph", phase2, "--complete", "--max-cosets", "2", "--dot", str(tmp_path / "g.dot")]) == 2
+    assert "bound exceeded: coset bound 2 exceeded" in capsys.readouterr().err
 
 
 def test_nonsurjective_theta_rejected(tmp_path, capsys):
@@ -319,25 +317,23 @@ def test_certificate_with_an_h_generators_key_still_verifies(tmp_path, capsys):
 
 def test_certificate_without_provenance_keys_still_verifies(tmp_path, capsys):
     # no check reads beta_primes, g_corrections or tree_transversal, so a
-    # certificate without them verifies, and so does one whose transversal
-    # has a word per coset of the complete graph, as certificates written
-    # before the checks moved to H's core carry
+    # certificate without them verifies; decompose writes no transversal,
+    # and a certificate that carries one, with a word per coset of the
+    # complete graph or per vertex of the core, as older certificates do,
+    # verifies alike
     trivial_in_s3 = {"factors_G": ["sym 3"], "factors_B": ["cyclic 1"], "theta": [[0] * 6], "subgroup": []}
-    for payload, complete_transversal in ((SYS_A, None), (trivial_in_s3, [""] + [f"0:{g}" for g in range(1, 6)])):
+    for payload, transversals in ((SYS_A, [["", "1:1"]]), (trivial_in_s3, [[""], [""] + [f"0:{g}" for g in range(1, 6)]])):
         sys_file = write(tmp_path, "sys.json", payload)
         cert_file = str(tmp_path / "cert.json")
         assert main(["decompose", sys_file, "-o", cert_file]) == 0
         cert = json.loads((tmp_path / "cert.json").read_text())
-        bare = {key: value for key, value in cert.items() if key != "tree_transversal"}
+        assert "tree_transversal" not in cert
+        bare = dict(cert)
         bare["factors"] = [
             {key: value for key, value in fc.items() if key not in ("beta_primes", "g_corrections")}
             for fc in cert["factors"]
         ]
-        variants = [bare]
-        if complete_transversal:
-            assert cert["tree_transversal"] == [""]  # H = 1 has a one-vertex core
-            variants.append(dict(cert, tree_transversal=complete_transversal))
-        for doc in variants:
+        for doc in [bare] + [dict(cert, tree_transversal=words) for words in transversals]:
             capsys.readouterr()
             assert main(["verify", sys_file, write(tmp_path, "old.json", doc)]) == 0
             assert "verdict: pass" in capsys.readouterr().out
@@ -426,8 +422,9 @@ def test_decompose_builds_the_coset_graph_once(tmp_path, monkeypatch, capsys):
 # S5 * Z2 onto Z2 * Z2 by (sign, identity); H is a point stabiliser of a
 # transitive action on 10 points, presented by Schreier generators.  S5's
 # elements carry the labels below (label of the i-th permutation in
-# lexicographic order); under them every transversal retry puts a piece of
-# H_1 in factor 0, so decompose fails after all retries.
+# lexicographic order); under them every transversal retry of the
+# transversal search put a piece of H_1 in factor 0, while H's reduced
+# Kurosh basis decomposes it.
 S5_LABELS = [
     0, 41, 90, 83, 15, 72, 89, 9, 58, 60, 37, 108, 18, 55, 74, 119, 92, 28, 79, 95,
     38, 102, 7, 67, 4, 56, 30, 105, 39, 69, 19, 117, 10, 12, 16, 52, 103, 50, 57, 111,
@@ -475,16 +472,13 @@ def s5z2_system() -> dict:
     }
 
 
-def test_rejection_names_every_retry(tmp_path, capsys):
+def test_pinned_s5z2_system_decomposes_and_verifies(tmp_path, capsys):
     sys_file = write(tmp_path, "sys.json", s5z2_system())
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 1
-    err = capsys.readouterr().err
-    assert "decomposition failed: all 8 transversal retries rejected" in err
-    # each candidate is assembled in full and judged by C1-C7 alone
-    for order_seed in range(8):
-        assert (
-            f"order_seed {order_seed}: failed C3 vertex groups, C4 double cosets, C7 free-product basis" in err
-        )
+    cert_file = str(tmp_path / "c.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert main(["verify", sys_file, cert_file]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

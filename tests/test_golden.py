@@ -15,7 +15,7 @@ import json
 from freedecomp.cli import main
 from freedecomp.freeprod import format_word
 
-GOLDEN_DIGEST = "64500a3d1ea86505fee0a5821d78f92849b5d4a1be693b27699ae0eec655fc99"
+GOLDEN_DIGEST = "88c2909bca43b96690594f682e7203538ddfd7a76f03cac12b4b2ddccfb38bb6"
 
 
 def system_json(inst) -> dict:

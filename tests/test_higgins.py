@@ -3,18 +3,16 @@ import re
 import pytest
 
 from freedecomp import (
-    TreeBoundExceeded,
     build_core,
-    build_theta_tree,
     canonical_encoding,
     canonicalize,
     complete_graph,
-    higgins_decompose,
     membership,
     subgroup_closure,
     theta_word,
 )
 from freedecomp import higgins
+from freedecomp.higgins import TreeBoundExceeded, build_theta_tree, higgins_decompose
 from freedecomp.covgraph import CoreGraph, trace
 from freedecomp.freeprod import EMPTY, invert, make_system, multiply, parse_word
 
@@ -172,16 +170,6 @@ def test_inclusion_of_conjugated_stabilizers(corpus):
                         invert(sys, "G", p_root),
                     )
                     assert membership(sys, core, word)
-
-
-def test_retry_loop_raises_after_exhaustion(sys_phase2, sys_phase2_gens, monkeypatch):
-    # a search the state budget stops is retried in every edge order
-    from freedecomp.conjecture import Bounds, conjecture_decompose
-
-    monkeypatch.setattr(higgins, "_STATE_BUDGET", 1)
-    with pytest.raises(TreeBoundExceeded, match="all 8 transversal retries rejected") as stopped:
-        conjecture_decompose(sys_phase2, sys_phase2_gens, Bounds(max_cosets=100))
-    assert str(stopped.value).count("state budget 1 reached") == 8
 
 
 def test_tree_determinism(sys_phase2, sys_phase2_gens):

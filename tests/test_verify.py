@@ -309,25 +309,23 @@ def _certificates_with_core(corpus):
 
 
 def test_transversal_word_must_lead_to_its_coset(corpus):
-    # no check reads tree_transversal, but decompose still writes it as
-    # provenance: word i is image-trivial and leads from the base of H's
-    # core to vertex i, one word per vertex of the core
+    # decompose reads its certificate off H's Kurosh basis and has no
+    # transversal, so it writes none; the transversal older certificates
+    # carry is provenance no check reads (see the tests below)
     seen = 0
-    for sys, (cert, _, graph) in _certificates_with_core(corpus):
-        assert len(cert.tree_transversal) == graph.vertex_count
-        for v, word in enumerate(cert.tree_transversal):
-            assert theta_word(sys, word) == EMPTY
-            assert trace(graph, word, 0) == v
+    for sys, (cert, report, graph) in _certificates_with_core(corpus):
+        assert cert.tree_transversal == () and report.verdict
         seen += 1
     assert seen >= 150
 
 
 def test_transversal_word_must_be_in_normal_form(corpus):
-    # the transversal words decompose writes are in normal form, so a
-    # certificate read back from JSON carries them unchanged
+    # the transversal words older certificates carry, one image-trivial
+    # word per vertex of H's core, are in normal form, so a certificate
+    # read back from JSON carries them unchanged
     seen = 0
-    for sys, (cert, _, _) in _certificates_with_core(corpus):
-        for word in cert.tree_transversal:
+    for sys, (cert, _, graph) in _certificates_with_core(corpus):
+        for word in build_theta_tree(sys, graph).transversal:
             assert is_normal_form(sys, "G", word)
             assert normalize(sys, "G", word) == word
         seen += 1
@@ -336,14 +334,15 @@ def test_transversal_word_must_be_in_normal_form(corpus):
 
 def test_provenance_fields_do_not_change_the_verdict(corpus):
     # the claim mentions neither the transversal nor beta' and the
-    # corrections, so no check reads them: a transversal word squared,
-    # dropped or left unreduced, the transversal of the complete graph (as
-    # certificates written before the checks moved to the core carry), and
-    # all three fields emptied leave every check passing
+    # corrections, so no check reads them: the transversal of H's core (as
+    # older certificates carry), one of its words squared, dropped or left
+    # unreduced, the transversal of the complete graph (as certificates
+    # written before the checks moved to the core carry), and all three
+    # fields emptied leave every check passing
     seen = older = 0
     for sys, gens, cert, full in _valid_certificates(corpus):
-        words = list(cert.tree_transversal)
-        forged = {"emptied": ()}
+        words = list(build_theta_tree(sys, build_core(sys, canonical_generators(gens))).transversal)
+        forged = {"emptied": (), "core's": tuple(words)}
         i = next((i for i, t in enumerate(words) if t), None)
         if i is not None:
             forged["squared"] = tuple(words[:i] + [multiply(sys, "G", words[i], words[i])] + words[i + 1 :])
