@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar
@@ -113,7 +114,20 @@ class ConjectureCertificate:
 
 
 def system_hash(sys: FactorSystem) -> str:
-    payload = json.dumps(sys.description(), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of ``json.dumps(sys.description(), sort_keys=True,
+    separators=(",", ":"))``, written here from decimal strings made once;
+    only the group names, which may be any JSON value, go through ``json``."""
+    digits = list(map(str, range(max(g.order for g in sys.factors_g + sys.factors_b))))
+    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+    def rows(table) -> str:  # a one-entry row is (0,), and "0" joins to itself
+        return ",".join("[" + ",".join(operator.itemgetter(*row)(digits)) + "]" for row in table)
+
+    def factors(side) -> str:
+        return ",".join(f'{{"name":{dumps(g.name)},"table":[{rows(g.mul)}]}}' for g in side)
+
+    theta = rows(h.map for h in sys.theta)
+    payload = f'{{"factors_B":[{factors(sys.factors_b)}],"factors_G":[{factors(sys.factors_g)}],"theta":[{theta}]}}'
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 

@@ -20,8 +20,9 @@ and new vertices fill only the gap, as in coset enumeration (Sims,
 a quotient of the wedge of generator cycles by merges folding would make
 anyway.  Construction then alternates folding (merging conflict targets
 through a union-find) with per-component saturation until nothing
-changes.  Merging strictly decreases the vertex count and saturation only
-adds edges between present vertices, so the loop terminates.  Completion
+changes; saturation writes the induced edges straight into the table.
+Merging strictly decreases the vertex count and saturation only adds
+edges between present vertices, so the loop terminates.  Completion
 then grows the graph Todd-Coxeter style until the action is total, which
 at finite index yields the full coset graph; a core that is already
 complete is returned as it is.
@@ -269,17 +270,18 @@ class _Builder:
                         if other != first:
                             self.pending.append((first, other))
             return  # refold first; the component stays dirty
-        # fill every empty slot whose target coset is present; the cosets are
-        # distinct, so each filled slot gets its one induced edge
+        # write every empty slot whose target coset is present: the cosets are
+        # distinct and present edges agree with the labels, so a set reverse
+        # slot points back at u, and an empty one is written at the other end
+        dirty = self.dirty
         for u in comp:
             adj_u, row = adj[u], mul[label[u]]
             for g, key in slots:
                 if key not in adj_u:
                     v = at.get(coset[row[g]])
                     if v is not None:
-                        self.add_edge(u, lam, g, v)
-        for u in comp:
-            self.dirty.discard((lam, u))
+                        adj_u[key] = v
+            dirty.discard((lam, u))
 
     def stabilize(self) -> None:
         dirty, heap = self.dirty, self.heap
@@ -516,12 +518,16 @@ def _read_out(adj, base: int, find, vertex_count: int) -> tuple[dict, ...]:
     action = []
     for v in order:  # grows while the walk discovers vertices
         entries = {}
-        for key, w in sorted(adj[v].items()):
-            w = find(w)
-            i = number.get(w)
+        row = adj[v]
+        for key in sorted(row):
+            w = row[key]
+            i = number.get(w)  # numbered vertices are roots: no find for them
             if i is None:
-                i = number[w] = len(order)
-                order.append(w)
+                w = find(w)
+                i = number.get(w)
+                if i is None:
+                    i = number[w] = len(order)
+                    order.append(w)
             entries[key] = i
         action.append(entries)
     if len(order) != vertex_count:

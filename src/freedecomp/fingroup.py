@@ -11,7 +11,10 @@ closed under products, so a law that holds on generators holds everywhere.
 ``validate_group`` decides each axiom in whole-row passes that run in C
 (``set``, ``zip``, ``operator.itemgetter``, tuple comparison) and walks a
 row entry by entry only to name what failed, so an order-n table costs
-O(n^2) C-level steps plus O(n log n) Python ones.
+O(n^2) C-level steps plus O(n log n) Python ones.  Columns are checked
+only when a row or Light's test fails: a table with a two-sided identity,
+permutation rows and associativity is a monoid in which every element has
+a right inverse, hence a group, so its columns are permutations.
 """
 
 from __future__ import annotations
@@ -112,6 +115,17 @@ def _generators(rows: Sequence[Sequence[int]]) -> list[int]:
     return gens
 
 
+def _check_permutations(rows: list[tuple[int, ...]], label: dict) -> None:
+    """Raise NotInvertible at the first of row 0, column 0, row 1, ... that
+    repeats a symbol, named by ``label``."""
+    n = len(rows)
+    for x, (row, column) in enumerate(zip(rows, zip(*rows))):
+        if len(set(row)) != n:
+            raise NotInvertible(f"row {label.get(x, x)} is not a permutation")
+        if len(set(column)) != n:
+            raise NotInvertible(f"column {label.get(x, x)} is not a permutation")
+
+
 def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Validate a multiplication table and return the finished group.
 
@@ -124,7 +138,7 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
       fails is walked to name its first entry that is not a non-bool int
       in range (so rows of other int subclasses pass);
     - identity: the first e whose row and column read 0..n-1;
-    - permutations: ``len(set(...)) == n`` over each row, then its column;
+    - rows: ``len(set(row)) == n`` over every row;
     - associativity: Light's test, (xa)y = x(ay) for all x, y and each a
       of ``_generators``, as one tuple comparison of row (xa) with row x
       read through row a.  It is O(n^2 k) with k <= log2 n for a group
@@ -132,6 +146,9 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
       (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so the
       passing elements are closed under products, and every element is a
       product of generators;
+    - columns: only when a row or Light's test fails, by
+      ``_check_permutations``, so a bad column precedes NotAssociative; a
+      table that passes is a group, so its columns are permutations;
     - inverses: the position of 0 in each row.
     """
     n = len(table)
@@ -160,11 +177,8 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
         rows = _reindexed(rows, identity)
     label = {0: identity, identity: 0}  # errors name the input's own labels
 
-    for x, (row, column) in enumerate(zip(rows, zip(*rows))):
-        if len(set(row)) != n:
-            raise NotInvertible(f"row {label.get(x, x)} is not a permutation")
-        if len(set(column)) != n:
-            raise NotInvertible(f"column {label.get(x, x)} is not a permutation")
+    if any(len(set(row)) != n for row in rows):
+        _check_permutations(rows, label)
 
     for a in _generators(rows):
         row_a = rows[a]
@@ -172,6 +186,7 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
         for x, row_x in enumerate(rows):
             row_xa = rows[row_x[a]]
             if row_xa != through_a(row_x):
+                _check_permutations(rows, label)  # a bad column comes first
                 y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
                 x, a, y = (label.get(v, v) for v in (x, a, y))
                 raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")

@@ -59,10 +59,14 @@ image-trivial transversals of H's core (``build_theta_tree`` in permuted
 edge orders), each split into generators of H_lam (``higgins_decompose``),
 one core and Kurosh decomposition per factor, the beta'/g correction of
 each piece, and the first candidate that passes C1-C7.
+``dumps_system_hash`` is ``system_hash`` before it wrote the JSON itself:
+the SHA-256 of ``json.dumps`` of the system's description.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -776,6 +780,13 @@ class TwoPassSaturateBuilder(covgraph._Builder):
                         self.add_edge(u, lam, g, v)
         for u in comp:
             self.dirty.discard((lam, u))
+
+
+def dumps_system_hash(sys: FactorSystem) -> str:
+    """The SHA-256 of the compact, key-sorted ``json.dumps`` of
+    ``sys.description()``, the bytes ``system_hash`` must reproduce."""
+    payload = json.dumps(sys.description(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def entrywise_reindexed(table: list[list[int]], e: int) -> list[list[int]]:

@@ -12,7 +12,7 @@ from freedecomp import (
     system_hash,
     theta_word,
 )
-from freedecomp.cli import certificate_to_json
+from freedecomp.cli import certificate_to_json, load_system
 from freedecomp.conjecture import (
     Bounds,
     CertificateRejected,
@@ -20,6 +20,7 @@ from freedecomp.conjecture import (
     check_h_theta_surjective,
     decompose_and_check,
 )
+from freedecomp.fingroup import cyclic, validate_group
 from freedecomp.freeprod import EMPTY, invert, make_system, parse_word
 from freedecomp.higgins import TreeBoundExceeded
 
@@ -27,6 +28,7 @@ from conftest import S3, TRIV, Z2, sign_map_s3, six_shape_family, z2z3_point_sta
 from naive_enum import (
     BetaImageNotInFactor,
     CrossFactorPieceNontrivial,
+    dumps_system_hash,
     gated_decompose_and_check,
     higgins_decompose_and_check,
 )
@@ -156,6 +158,21 @@ def test_single_factor_system():
 def test_system_hash_sensitivity(sys_a, sys_b):
     assert system_hash(sys_a) == system_hash(sys_a)
     assert system_hash(sys_a) != system_hash(sys_b)
+
+
+def test_system_hash_matches_json_dumps(corpus):
+    # the hand-written JSON hashes to the bytes of json.dumps, whatever the
+    # table sizes and whatever JSON value names a group
+    from test_cli import s5z2_system
+
+    systems = [inst.system for inst in corpus]
+    systems.append(load_system(s5z2_system())[0])
+    systems.append(make_system([cyclic(2000), Z2], [Z2, Z2], [[x % 2 for x in range(2000)], [0, 1]]))
+    for name in ('say "hi"', "Z\u2082 \u00d7 \u03a3", ["Z", 3], {"z": [1, None], "a": "\u00e9"}, 7, None):
+        z3 = validate_group([list(row) for row in cyclic(3).mul], name=name)
+        systems.append(make_system([z3, S3], [TRIV, Z2], [[0, 0, 0], sign_map_s3()]))
+    for sys in systems:
+        assert system_hash(sys) == dumps_system_hash(sys)
 
 
 def test_system_hash_is_computed_at_most_once_per_decompose(sys_a, sys_a_gens, monkeypatch):

@@ -343,28 +343,29 @@ def test_completion_that_stays_partial_raises(sys_a, sys_a_gens, monkeypatch):
 
 
 def test_saturation_adds_only_missing_edges(corpus, monkeypatch):
-    # each add_edge call that _saturate makes fills an empty slot
-    calls = []
-    saturate, add_edge = covgraph._Builder._saturate, covgraph._Builder.add_edge
+    # around each _saturate, every entry present before keeps its target up
+    # to find, and every new entry fills a slot that was empty; the finished
+    # graphs hold the reverse of every edge
+    filled = []
+    saturate = covgraph._Builder._saturate
 
-    def saturating(self, lam, v):
-        self.saturating = True
+    def checked(self, lam, v):
+        before = [dict(row) for row in self.adj]
         saturate(self, lam, v)
-        self.saturating = False
+        for row, old in zip(self.adj, before):
+            assert all(self.find(row[key]) == self.find(w) for key, w in old.items())
+            filled.extend(key for key in row if key not in old)
 
-    def logged(self, u, lam, g, v):
-        changed = add_edge(self, u, lam, g, v)
-        if getattr(self, "saturating", False):
-            calls.append(changed)
-        return changed
-
-    monkeypatch.setattr(covgraph._Builder, "_saturate", saturating)
-    monkeypatch.setattr(covgraph._Builder, "add_edge", logged)
+    monkeypatch.setattr(covgraph._Builder, "_saturate", checked)
     systems = [(inst.system, inst.gens, 60) for inst in corpus]
     systems += [(ps.system, ps.gens, ps.index) for ps in map(z2z3_point_stabilizer, (12, 60, 120, 180, 240, 300))]
     for sys, gens, max_cosets in systems:
-        complete_graph(sys, build_core(sys, gens), max_cosets)
-    assert calls and all(calls)
+        core = build_core(sys, gens)
+        for graph in (core, complete_graph(sys, core, max_cosets)):
+            for v, row in enumerate(graph.action):
+                for (lam, g), w in row.items():
+                    assert graph.action[w][(lam, sys.factors_g[lam].inv[g])] == v
+    assert filled
 
 
 def test_component_trees_span_with_coset_labels(corpus):

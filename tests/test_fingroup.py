@@ -338,6 +338,33 @@ def test_whole_row_checks_match_the_entrywise_oracle_on_loops(group, data):
     _assert_matches_entrywise_oracle(relabel(table, perm))
 
 
+def test_bad_column_of_permutation_rows_is_named_like_the_oracle():
+    # every row a permutation, columns 1 and 3 not: Light's test fails and
+    # the column pass names the first bad column, in the input's labels
+    # (relabelled, the bad columns are 0 and 1, and the identity 3 trades
+    # places with 0, so column 1 is checked first)
+    table = _tables([cyclic(5)])[0]
+    table[2][1], table[2][3] = table[2][3], table[2][1]
+    for t in (table, relabel(table, [3, 0, 4, 1, 2])):
+        _assert_matches_entrywise_oracle(t)
+        with pytest.raises(NotInvertible, match=r"^column 1 is not a permutation$"):
+            validate_group(t)
+
+
+def test_valid_tables_skip_the_column_pass(monkeypatch):
+    # a monoid whose rows are permutations is a group, so once Light's test
+    # passes no column needs checking
+    def column_pass(rows, label):
+        raise AssertionError("column pass ran on a valid table")
+
+    monkeypatch.setattr(fingroup, "_check_permutations", column_pass)
+    perm = list(range(120))
+    random.Random(21).shuffle(perm)
+    for table in (relabel(sym(5).mul, perm), fingroup._cyclic_table(400)):
+        g = validate_group(table)
+        assert all(g.mul[x][g.inv[x]] == 0 for x in range(g.order))
+
+
 def test_rotated_cyclic_table_is_the_sum_table():
     for n in range(1, 65):
         sums = [[(i + j) % n for j in range(n)] for i in range(n)]
