@@ -1,13 +1,12 @@
 """Command-line interface: JSON in, certificates/reports/DOT out.
 
-Exit codes: 0 success, 1 verification or decomposition failure, 2 bound
-exceeded (the coset bound of ``graph --complete``, the only bound a command
-has, so ``decompose`` never exits 2), 3 invalid input (including
-command-line usage errors and output paths that cannot be written;
-``decompose`` then removes the outputs it already wrote), 4 internal error
-(an uncaught exception, reported as ``internal error: <type>: <msg>``).
-``decompose``, ``verify`` and ``kurosh`` work on H's core, which is never
-completed, so they take no coset bound and accept H of infinite index.
+Exit codes: 0 success, 1 verification or decomposition failure, 3 invalid
+input (including command-line usage errors and output paths that cannot be
+written; ``decompose`` then removes the outputs it already wrote), 4
+internal error (an uncaught exception, reported as ``internal error:
+<type>: <msg>``).  Every command that reads H works on H's core, which
+is never completed, so no command has a bound and H may have infinite
+index.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .conjecture import (
     ThetaNotSurjectiveOntoB,
     decompose_and_check,
 )
-from .covgraph import IndexBoundExceeded, build_core, complete_graph, membership, to_dot
+from .covgraph import build_core, membership, to_dot
 from .fingroup import GroupTableError, NotAHomomorphism, NotSurjective, cyclic, sym, validate_group
 from .freeprod import FactorSystem, format_word, make_system, parse_word
 from .kurosh import kurosh_decompose
@@ -34,7 +33,6 @@ from .verify import MalformedCertificate, VerificationReport, verify_certificate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_BOUND = 2
 EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
@@ -64,16 +62,10 @@ def _is_list_of(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(x, kind) for x in value)
 
 
-def _bound(value, name: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InputError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
 def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
-    """Build a validated system, subgroup generators and bounds from JSON."""
+    """Build a validated system and subgroup generators from JSON; other
+    keys, ``bounds`` among them, are ignored.  The third value is always
+    ``Bounds()``: the benchmark harness unpacks three and reads it."""
     if not isinstance(data, dict) or "factors_G" not in data:
         raise InputError("system file must be an object with a factors_G list")
     raw_g = data["factors_G"]
@@ -97,12 +89,7 @@ def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
     if not _is_list_of(raw_gens, str):
         raise InputError("subgroup must be a list of word strings")
     gens = [parse_word(system, "G", w) for w in raw_gens]
-
-    raw_bounds = data.get("bounds", {})
-    if not isinstance(raw_bounds, dict):
-        raise InputError("bounds must be an object")
-    bounds = Bounds(max_cosets=_bound(raw_bounds.get("max_cosets", Bounds.max_cosets), "max_cosets", 1))
-    return system, gens, bounds
+    return system, gens, Bounds()
 
 
 def _read_json(path: str):
@@ -255,13 +242,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    system, gens, bounds = load_system(_read_json(args.system))
-    # the file's bound, overridden by --max-cosets where given
-    max_cosets = bounds.max_cosets if args.max_cosets is None else _bound(args.max_cosets, "max_cosets", 1)
-    graph = build_core(system, gens)
-    if args.complete:
-        graph = complete_graph(system, graph, max_cosets)
-    _write(args.dot, to_dot(graph))
+    system, gens, _ = load_system(_read_json(args.system))
+    _write(args.dot, to_dot(build_core(system, gens)))
     return EXIT_OK
 
 
@@ -306,11 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("graph", help="emit the subgroup graph as DOT")
+    p = sub.add_parser("graph", help="emit the core of the subgroup as DOT")
     p.add_argument("system")
-    p.add_argument("--complete", action="store_true", help="complete to the full coset graph first")
     p.add_argument("--dot", default="-", help="output path (default stdout)")
-    p.add_argument("--max-cosets", type=int, default=None, help="coset bound for --complete (default 10000)")
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("normalform", help="normal form of a word")
@@ -334,9 +314,6 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except IndexBoundExceeded as exc:
-        print(f"bound exceeded: {exc}", file=_sys.stderr)
-        return EXIT_BOUND
     except (
         InputError,
         GroupTableError,

@@ -21,6 +21,15 @@ basis stays a free-product basis of H:
   another piece: this conjugates the piece by u, which lies in the free
   product of the other basis members, so conjugating by u^-1 undoes it.
   A piece is never conjugated by a word that uses the piece itself.
+- once a round takes no single move, every later round also offers, for
+  each factor B_mu, every product of the units above whose images are
+  single syllables of B_mu: a breadth-first walk closes those images in
+  B_mu, and each element c of the closure is offered as the image (mu, c)
+  of the product of units that first reaches it.  The product leaves out
+  the moved element, so it lies in the free product of the other basis
+  members and the move is still an automorphism.  A basis whose single
+  moves bring every cost to 0 takes no such move, so its certificate is
+  the one single moves give.
 The moves are judged on the cached images in B.  A free word costs
 len(theta(f)) - 1, and 0 when its image is trivial; a piece costs
 len(theta(p)), less one when the last syllable of theta(p) lies in B_lam.
@@ -43,9 +52,11 @@ generate B_lam (C2).  The basis generates H (C5) and has as many free
 words as H's free rank (C7).
 
 Completeness of this greedy reduction is not proven: an element whose cost
-no single move lowers stays positive, its piece is left uncorrected or its
-free word left in the factor of its edge, and the certificate fails C1 or
-C2, which raises CertificateRejected.
+no single move and no product of units within one factor lowers stays
+positive, its piece is left uncorrected or its free word left in the
+factor of its edge, and the certificate fails C1 or C2, which raises
+CertificateRejected.  The tests pin three such stalls, onto S3*Z2 and
+S3*Z3, for which a certificate exists.
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ import json
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import ClassVar
 
 from .covgraph import CoreGraph, build_core
 from .fingroup import solve_preimage
@@ -72,22 +82,19 @@ class CertificateRejected(RuntimeError):
     """The certificate failed one of the checks C1-C7."""
 
 
-@dataclass(frozen=True)
 class Bounds:
-    """The coset bound, the one settable bound.
+    """Constants that only the benchmark harness (``perfbench/tracing.py``)
+    reads: ``max_cosets`` for its replayed completion, and the transversal
+    search's ``tree_word_bound``, ``tree_retries`` and
+    ``tree_extension_bound``, ``free_test_len`` and ``seed``.  Nothing in
+    the package reads them and no input sets them."""
 
-    Only ``graph --complete`` reads ``max_cosets``.  ``tree_word_bound``,
-    ``tree_retries``, ``tree_extension_bound``, ``free_test_len`` and
-    ``seed`` are read by nothing in the package; the benchmark harness
-    (``perfbench/tracing.py``) still reads them off an instance.
-    """
-
-    max_cosets: int = 10_000
-    tree_word_bound: ClassVar[int] = 12
-    tree_retries: ClassVar[int] = 8
-    tree_extension_bound: ClassVar[int] = 64
-    free_test_len: ClassVar[int] = 8
-    seed: ClassVar[int] = 0
+    max_cosets = 10_000
+    tree_word_bound = 12
+    tree_retries = 8
+    tree_extension_bound = 64
+    free_test_len = 8
+    seed = 0
 
 
 @dataclass(frozen=True)
@@ -221,23 +228,38 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
 
     piece_units = [units(j) for j in range(len(pieces))]
 
-    def candidates(own_free: int, own_piece: int):
-        # (image of u, ("f", k, +-1) for u = f_k^+-1 or ("p", j, s) for
-        # u = p_j s p_j^-1), skipping u of trivial image, which move nothing
+    def candidates(own_free: int, own_piece: int, wide: bool):
+        # (image of u, units whose product is u): u = f_k^+-1, ("f", k,
+        # +-1), or p_j s p_j^-1, ("p", j, s), skipping u of trivial image,
+        # which move nothing; when ``wide``, then every product of those
+        # units with images in one factor B_mu, by its image (mu, c)
         for k, (_, _, y) in enumerate(free):
             if k != own_free and y:
-                yield y, ("f", k, 1)
-                yield invert(sys, "B", y), ("f", k, -1)
+                yield y, (("f", k, 1),)
+                yield invert(sys, "B", y), (("f", k, -1),)
         for j, unit in enumerate(piece_units):
             if j != own_piece:
                 for s, y in unit:
-                    yield y, ("p", j, s)
+                    yield y, (("p", j, s),)
+        gens: dict[int, list] = {}
+        for y, u in candidates(own_free, own_piece, False) if wide else ():
+            if len(y) == 1:
+                gens.setdefault(y[0][0], []).append((y[0][1], u))
+        for mu, units in gens.items():
+            mul, reached, queue = sys.factors_b[mu].mul, {0: ()}, [0]
+            for c in queue:  # breadth-first: the queue grows while read
+                for b, u in units:
+                    d = mul[c][b]
+                    if d not in reached:
+                        reached[d] = reached[c] + u
+                        queue.append(d)
+                        yield ((mu, d),), reached[d]
 
-    def best_move(image: Word, cost, own_free: int, own_piece: int, sides: tuple[bool, ...]):
+    def best_move(image: Word, cost, own_free: int, own_piece: int, sides: tuple[bool, ...], wide: bool):
         """(new image, u, left?) of the move that lowers ``cost`` most, the
         first one to reach 0, or None."""
         best_cost, best = cost(image), None
-        for y, u in candidates(own_free, own_piece):
+        for y, u in candidates(own_free, own_piece, wide):
             for left in sides:
                 z = bmul(y, image) if left else bmul(image, y)
                 c = cost(z)
@@ -247,20 +269,23 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
                         return best
         return best
 
-    def word(u: tuple[str, int, int]) -> Word:
-        kind, index, which = u
-        if kind == "f":
-            f = free[index][1]
-            return f if which == 1 else invert(sys, "G", f)
-        lam, p = pieces[index][:2]
-        return gmul(gmul(p, ((lam, which),)), invert(sys, "G", p))
+    def word(units: tuple) -> Word:
+        out: Word = ()
+        for kind, index, which in units:
+            if kind == "f":
+                f = free[index][1]
+                out = gmul(out, f if which == 1 else invert(sys, "G", f))
+            else:
+                lam, p = pieces[index][:2]
+                out = gmul(out, gmul(gmul(p, ((lam, which),)), invert(sys, "G", p)))
+        return out
 
-    moved = True
-    while moved:
+    wide = False  # products of units are offered once single moves stall
+    while True:
         moved = False
         for i, entry in enumerate(free):
             if _free_cost(entry[2]):
-                move = best_move(entry[2], _free_cost, i, -1, (False, True))
+                move = best_move(entry[2], _free_cost, i, -1, (False, True), wide)
                 if move:
                     z, u, left = move
                     entry[1:] = gmul(word(u), entry[1]) if left else gmul(entry[1], word(u)), z
@@ -268,13 +293,16 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
         for j, entry in enumerate(pieces):
             cost = partial(_piece_cost, entry[0])
             if cost(entry[3]):
-                move = best_move(entry[3], cost, -1, j, (True,))
+                move = best_move(entry[3], cost, -1, j, (True,), wide)
                 if move:
                     z, u, _ = move
                     entry[1], entry[3] = gmul(word(u), entry[1]), z
                     piece_units[j] = units(j)
                     moved = True
-    return pieces, free
+        if not moved:
+            if wide:
+                return pieces, free
+            wide = True
 
 
 def _assemble(sys: FactorSystem, pieces: list, free: list) -> ConjectureCertificate:

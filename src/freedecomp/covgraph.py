@@ -23,9 +23,11 @@ through a union-find) with per-component saturation until nothing
 changes; saturation writes the induced edges straight into the table.
 Merging strictly decreases the vertex count and saturation only adds
 edges between present vertices, so the loop terminates.  Completion
-then grows the graph Todd-Coxeter style until the action is total, which
-at finite index yields the full coset graph; a core that is already
-complete is returned as it is.
+(``complete_graph``) then grows the graph Todd-Coxeter style until the
+action is total, which at finite index yields the full coset graph; a
+core that is already complete is returned as it is.  No command completes
+a graph: completion, with its coset bound, serves only the benchmark
+harness and the tests, which compare indices with sympy's.
 
 Every graph leaves the builder once, read out by the one breadth-first
 walk that also serves ``canonicalize``: from the base, taking each

@@ -176,6 +176,11 @@ def growth() -> list:
     return growth_family(seed=1, per_shape=10)
 
 
+@pytest.fixture(scope="session")
+def eight_shapes() -> dict[int, list]:
+    return {seed: eight_shape_family(seed, per_shape=25, max_index=24) for seed in (1, 2, 3, 4)}
+
+
 @dataclass(frozen=True)
 class PointStabilizer:
     """H = the stabiliser of point 0 under a transitive action of Z2 * Z3 on
@@ -412,6 +417,40 @@ def growth_family(seed: int, per_shape: int, max_index: int = 60):
         ("S3*S3*S3", [S3, S3, S3], [Z2, Z2, Z2], [sign_map(3)] * 3),
         ("Z4*Z4*Z2", [Z4, Z4, Z2], [Z2, Z2, Z2], [mod2, mod2, [0, 1]]),
         ("S3*Z4*Z6", [S3, Z4, z6], [Z2, Z2, Z3], [sign_map(3), mod2, mod3]),
+    ]
+    return _point_stabilizers(seed, shapes, per_shape, max_index)
+
+
+def pairing_map() -> list[int]:
+    """S4 onto S3: each element of ``sym(4)`` as its action on the three
+    pairings {01|23}, {02|13}, {03|12} of {0, 1, 2, 3}, an element of
+    ``sym(3)``."""
+    pairings = [{frozenset(pair[:2]), frozenset(pair[2:])} for pair in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))]
+    s3 = sorted(itertools.permutations(range(3)))
+    return [
+        s3.index(tuple(pairings.index({frozenset(p[a] for a in part) for part in pairing}) for pairing in pairings))
+        for p in sorted(itertools.permutations(range(4)))
+    ]
+
+
+def eight_shape_family(seed: int, per_shape: int, max_index: int = 24):
+    """Eight shapes onto a B with a factor of order above 3: S3*S3 onto
+    S3*Z2 (id, sign), S4*Z2 onto S3*Z2, S4*Z3 onto S3*Z3, S4*S4 onto S3*S3,
+    Z6*S4 onto Z3*S3, Z12*Z6 onto Z4*Z3 (mod 4, mod 3), Z4*Z5 onto Z2*Z5
+    (mod 2, id) and S3*S3*Z4 onto S3*Z2*Z2 (id, sign, mod 2), S4 mapping
+    by ``pairing_map``, with ``per_shape`` point stabilisers each
+    (``_point_stabilizers``)."""
+    s4, z5, z6, z12 = sym(4), cyclic(5), cyclic(6), cyclic(12)
+    pairs, s3_id, mod2, mod3 = pairing_map(), list(range(6)), [0, 1, 0, 1], [g % 3 for g in range(6)]
+    shapes = [
+        ("S3*S3", [S3, S3], [S3, Z2], [s3_id, sign_map(3)]),
+        ("S4*Z2", [s4, Z2], [S3, Z2], [pairs, [0, 1]]),
+        ("S4*Z3", [s4, Z3], [S3, Z3], [pairs, [0, 1, 2]]),
+        ("S4*S4", [s4, s4], [S3, S3], [pairs, pairs]),
+        ("Z6*S4", [z6, s4], [Z3, S3], [mod3, pairs]),
+        ("Z12*Z6", [z12, z6], [Z4, Z3], [[g % 4 for g in range(12)], mod3]),
+        ("Z4*Z5", [Z4, z5], [Z2, z5], [mod2, list(range(5))]),
+        ("S3*S3*Z4", [S3, S3, Z4], [S3, Z2, Z2], [s3_id, sign_map(3), mod2]),
     ]
     return _point_stabilizers(seed, shapes, per_shape, max_index)
 

@@ -19,7 +19,7 @@ from freedecomp import (
     verify_certificate,
 )
 from freedecomp.cli import certificate_to_json, main
-from freedecomp.conjecture import Bounds, check_h_theta_surjective
+from freedecomp.conjecture import check_h_theta_surjective
 from freedecomp.freeprod import EMPTY, is_normal_form, parse_word
 
 from conftest import enumerate_ball
@@ -138,7 +138,7 @@ def test_criterion_4_certificate_soundness(corpus, capsys):
             continue
         qualifying += 1
         try:
-            cert = conjecture_decompose(inst.system, inst.gens, Bounds(max_cosets=200))
+            cert = conjecture_decompose(inst.system, inst.gens)
         except Exception as exc:  # any pipeline failure is a criterion failure
             failures.append((idx, f"decompose: {exc!r}"))
             continue
@@ -164,7 +164,7 @@ def test_criterion_5_determinism(sys_a, sys_a_gens, corpus, capsys):
     redundant = multiply(sys_a, "G", a, bab)
 
     def bytes_of(system, gens):
-        return json.dumps(certificate_to_json(conjecture_decompose(system, gens, Bounds(max_cosets=200))), indent=2)
+        return json.dumps(certificate_to_json(conjecture_decompose(system, gens)), indent=2)
 
     same = (
         bytes_of(sys_a, [a, bab])

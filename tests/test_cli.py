@@ -76,15 +76,23 @@ def test_decompose_deterministic_bytes(tmp_path):
 
 
 def test_decompose_bound_exceeded(tmp_path, capsys):
-    # decompose reads no coset bound, from the file or a flag, and has no
-    # other bound, so it never exits 2; graph --complete still does
-    sys_file = write(tmp_path, "sys.json", dict(SYS_A, bounds={"max_cosets": 1}))
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 0
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--max-cosets", "1"]) == 3
-    assert "unrecognized arguments: --max-cosets 1" in capsys.readouterr().err
-    phase2 = write(tmp_path, "phase2.json", dict(SYS_A, subgroup=["0:1", "1:1 0:1 1:1 0:1 1:1"]))
-    assert main(["graph", phase2, "--complete", "--max-cosets", "2", "--dot", str(tmp_path / "g.dot")]) == 2
-    assert "bound exceeded: coset bound 2 exceeded" in capsys.readouterr().err
+    # no command has a bound, so none exits 2: a file's bound of one coset
+    # stops nothing, and the flags that set or needed a bound are usage
+    # errors; graph writes H's core, the graph decompose --dot writes
+    phase2 = dict(SYS_A, subgroup=["0:1", "1:1 0:1 1:1 0:1 1:1"], bounds={"max_cosets": 1})
+    sys_file = write(tmp_path, "sys.json", phase2)
+    dot_file = tmp_path / "core.dot"
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--dot", str(dot_file)]) == 0
+    assert main(["graph", sys_file, "--dot", str(tmp_path / "g.dot")]) == 0
+    assert (tmp_path / "g.dot").read_text() == dot_file.read_text()
+    capsys.readouterr()
+    for argv, flags in (
+        (["decompose", sys_file, "-o", str(tmp_path / "x.json")], "--max-cosets 1"),
+        (["graph", sys_file], "--complete"),
+        (["graph", sys_file], "--max-cosets 2"),
+    ):
+        assert main(argv + flags.split()) == 3
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
 
 def test_nonsurjective_theta_rejected(tmp_path, capsys):
@@ -117,16 +125,11 @@ def test_malformed_system_rejected(tmp_path):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("bounds", [], "bounds must be an object"),
-        ("bounds", {"max_cosets": "abc"}, "max_cosets must be an integer, got 'abc'"),
-        ("bounds", {"max_cosets": -1}, "max_cosets must be at least 1, got -1"),
-        ("bounds", {"max_cosets": 0}, "max_cosets must be at least 1, got 0"),
         ("subgroup", [5], "subgroup must be a list of word strings"),
         ("subgroup", "0:1", "subgroup must be a list of word strings"),
         ("theta", 5, "theta must list one index map per factor"),
     ],
-    ids=["bounds-list", "max-cosets-string", "max-cosets-negative", "max-cosets-zero",
-         "subgroup-int-entry", "subgroup-string", "theta-int"],
+    ids=["subgroup-int-entry", "subgroup-string", "theta-int"],
 )
 def test_malformed_system_field_is_invalid_input(tmp_path, capsys, field, value, message):
     sys_file = write(tmp_path, "sys.json", dict(SYS_B, **{field: value}))
@@ -135,10 +138,41 @@ def test_malformed_system_field_is_invalid_input(tmp_path, capsys, field, value,
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [[], {"max_cosets": "abc"}, {"max_cosets": -1}, {"max_cosets": 0}, {"max_cosets": 10_000}],
+    ids=["bounds-list", "max-cosets-string", "max-cosets-negative", "max-cosets-zero", "max-cosets-valid"],
+)
+def test_bounds_key_is_ignored(tmp_path, capsys, bounds):
+    # no command reads a bound, so a bounds key, whatever its value, is
+    # ignored like any unknown key: every command answers as without it
+    def answers(payload):
+        sys_file = write(tmp_path, "sys.json", payload)
+        cert_file, dot_file = tmp_path / "c.json", tmp_path / "g.dot"
+        out = []
+        for argv in (
+            ["decompose", sys_file, "-o", str(cert_file)],
+            ["verify", sys_file, str(cert_file)],
+            ["kurosh", sys_file],
+            ["graph", sys_file, "--dot", str(dot_file)],
+            ["member", sys_file, "1:1 0:1 1:1"],
+            ["normalform", sys_file, "0:1 1:1 1:1"],
+        ):
+            code = main(argv)
+            stdout, stderr = capsys.readouterr()
+            out.append((code, re.sub(r"\(\d+\.\d ms\)", "", stdout), stderr))
+        return out + [cert_file.read_text(), dot_file.read_text()]
+
+    plain = answers(SYS_A)
+    assert [code for code, _, _ in plain[:6]] == [0] * 6
+    assert answers(dict(SYS_A, bounds=bounds)) == plain
+
+
 def test_non_positive_max_cosets_flag_is_invalid_input(tmp_path, capsys):
+    # graph has no coset bound left to set, so the flag is a usage error
     sys_file = write(tmp_path, "sys.json", SYS_B)
-    assert main(["graph", sys_file, "--complete", "--max-cosets", "0"]) == 3
-    assert "max_cosets must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["graph", sys_file, "--max-cosets", "0"]) == 3
+    assert "unrecognized arguments: --max-cosets 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -247,16 +281,16 @@ def test_kurosh_sys_b(tmp_path, capsys):
 
 
 def test_kurosh_trivial_subgroup_bound(tmp_path, capsys):
-    # the trivial subgroup of an infinite product has infinite index; kurosh
-    # reads its one-vertex core and no coset bound, so the file's bound
-    # stops only graph --complete
+    # the trivial subgroup of an infinite product has infinite index;
+    # kurosh and graph read its one-vertex core and no coset bound, so the
+    # file's bound stops nothing
     sys_file = write(
         tmp_path, "sys.json", {"factors_G": ["cyclic 2", "cyclic 2"], "subgroup": [], "bounds": {"max_cosets": 40}}
     )
     assert main(["kurosh", sys_file]) == 0
     assert json.loads(capsys.readouterr().out) == {"pieces": [], "free_basis": [], "free_rank": 0}
-    assert main(["graph", sys_file, "--complete"]) == 2
-    assert "bound exceeded: coset bound 40 exceeded" in capsys.readouterr().err
+    assert main(["graph", sys_file]) == 0
+    assert capsys.readouterr().out == "digraph coregraph {\n  rankdir=LR;\n  v0 [shape=doublecircle];\n}\n"
 
 
 def test_graph_dot(tmp_path, capsys):
@@ -340,12 +374,11 @@ def test_certificate_without_provenance_keys_still_verifies(tmp_path, capsys):
 
 
 def test_decompose_verify_and_kurosh_never_complete(tmp_path, monkeypatch, capsys):
-    # the three commands work on H's core, so H = <a> in Z2 * Z3 onto
-    # Z2 * 1, of infinite index, decomposes into H_0 = <a> and H_1 = 1
+    # every command works on H's core, so H = <a> in Z2 * Z3 onto Z2 * 1,
+    # of infinite index, decomposes into H_0 = <a> and H_1 = 1
     def no_completion(*args):
         raise AssertionError("a command completed a coset graph")
 
-    monkeypatch.setattr(cli, "complete_graph", no_completion)
     monkeypatch.setattr(covgraph, "complete_graph", no_completion)
     payload = {
         "factors_G": ["cyclic 2", "cyclic 3"],
@@ -365,6 +398,10 @@ def test_decompose_verify_and_kurosh_never_complete(tmp_path, monkeypatch, capsy
     assert main(["kurosh", sys_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [p["rep"] for p in out["pieces"]] == [""] and out["free_rank"] == 0
+    assert main(["graph", sys_file]) == 0
+    assert capsys.readouterr().out == dot_file.read_text()
+    assert main(["member", sys_file, "1:1 0:1 1:2"]) == 0
+    assert capsys.readouterr().out == "false\n"
 
 
 def test_unreadable_file(tmp_path):
@@ -487,12 +524,13 @@ def test_pinned_s5z2_system_decomposes_and_verifies(tmp_path, capsys):
         ("decompose", set()),
         ("kurosh", set()),
         ("verify", set()),
-        ("graph", {"--max-cosets"}),
+        ("graph", set()),
         ("normalform", set()),
         ("member", set()),
     ],
 )
 def test_bound_flags_only_where_read(capsys, command, flags):
+    # no command reads a bound, so none takes a bound flag
     assert main([command, "--help"]) == 0
     out = capsys.readouterr().out
     bound_flags = {"--max-cosets", "--tree-word-bound", "--tree-retries"}
@@ -563,7 +601,7 @@ def test_failed_decompose_write_leaves_no_outputs(tmp_path, capsys, bad_flag):
 
 def _parser_sequence(tmp_path) -> list[list[str]]:
     """Seven main calls: two passes, a usage error, --help, a flag the
-    subcommand does not read, a bound error and a malformed file."""
+    subcommand does not read, a removed flag and a malformed file."""
     sys_file = write(tmp_path, "sys.json", SYS_A)
     cert_file = str(tmp_path / "cert.json")
     assert main(["decompose", sys_file, "-o", cert_file]) == 0
@@ -573,7 +611,7 @@ def _parser_sequence(tmp_path) -> list[list[str]]:
         ["kurosh"],
         ["verify", "--help"],
         ["member", sys_file, "0:1", "--max-cosets", "0"],
-        ["graph", sys_file, "--complete", "--max-cosets", "1"],
+        ["graph", sys_file, "--complete"],
         ["kurosh", write(tmp_path, "bad.json", {"factors_G": []})],
     ]
 
@@ -589,7 +627,7 @@ def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
 
     cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert [main(argv) for argv in sequence] == [0, 0, 3, 0, 3, 2, 3]
+    assert [main(argv) for argv in sequence] == [0, 0, 3, 0, 3, 3, 3]
     # one top-level parser and one per subcommand, all from the first call
     assert len(built) == 7
 
@@ -732,8 +770,8 @@ def test_mutated_inputs_exit_0_to_3(tmp_path_factory, data):
         ["verify", str(sys_file), str(cert_file)],
         ["kurosh", str(sys_file)],
         ["decompose", str(sys_file), "-o", str(directory / "out.json")],
-        ["graph", str(sys_file), "--complete", "--max-cosets", "64", "--dot", str(directory / "g.dot")],
+        ["graph", str(sys_file), "--dot", str(directory / "g.dot")],
         ["member", str(sys_file), "1:1 0:1 1:1"],
         ["normalform", str(sys_file), "0:1 1:1", "--side", "B"],
     ):
-        assert main(argv) in (0, 1, 2, 3), argv
+        assert main(argv) in (0, 1, 3), argv

@@ -11,10 +11,10 @@ from freedecomp import (
     multiply,
     system_hash,
     theta_word,
+    verify_certificate,
 )
 from freedecomp.cli import certificate_to_json, load_system
 from freedecomp.conjecture import (
-    Bounds,
     CertificateRejected,
     canonical_generators,
     check_h_theta_surjective,
@@ -88,7 +88,7 @@ def test_reps_are_image_trivial_and_consistent(corpus):
         if checked >= 25:
             break
         try:
-            cert = conjecture_decompose(inst.system, inst.gens, Bounds(max_cosets=200))
+            cert = conjecture_decompose(inst.system, inst.gens)
         except ThetaNotSurjectiveOntoB:
             continue
         checked += 1
@@ -302,3 +302,36 @@ def test_decompose_on_its_own_claim_is_a_fixed_point(corpus):
         assert cert_bytes(conjecture_decompose(system, claimed)) == cert_bytes(cert)
         seen += 1
     assert seen >= 180
+
+
+# (seed, index) -> (shape, core vertices) of the eight-shape systems on which
+# the reduction stalls even with products of units; a certificate exists
+# for each, so a complete reduction would certify them
+EIGHT_SHAPE_STALLS = {(2, 34): ("S4*Z2", 9), (4, 45): ("S4*Z2", 9), (3, 71): ("S4*Z3", 7)}
+
+
+def test_products_of_units_certify_the_eight_shape_family(eight_shapes):
+    # single moves alone stall on 71 of these 800 onto systems, where a
+    # factor of B has order above 3; with products of units within one
+    # factor of B, all but three decompose and verify
+    stalls = {}
+    for seed, family in eight_shapes.items():
+        assert len(family) == 200
+        for i, (shape, system, gens) in enumerate(family):
+            try:
+                cert, _, _ = decompose_and_check(system, gens)
+            except CertificateRejected as exc:
+                assert str(exc) == "failed C1 image-trivial representatives, C2 factor image generation"
+                stalls[seed, i] = (shape, build_core(system, gens).vertex_count)
+                continue
+            assert verify_certificate(system, gens, cert).verdict, (seed, i)
+    assert stalls == EIGHT_SHAPE_STALLS
+
+
+def test_smallest_single_move_stall_decomposes(eight_shapes):
+    # S3*S3 onto S3*Z2 (identity, sign) with a core of 5 vertices, the
+    # smallest system of the family on which single moves alone stall
+    shape, system, gens = eight_shapes[3][3]
+    assert shape == "S3*S3" and build_core(system, gens).vertex_count == 5
+    cert, report, _ = decompose_and_check(system, gens)
+    assert report.verdict and verify_certificate(system, gens, cert).verdict

@@ -16,7 +16,7 @@ from freedecomp import (
     verify_certificate,
 )
 from freedecomp import covgraph
-from freedecomp.conjecture import Bounds, canonical_generators, check_h_theta_surjective, decompose_and_check
+from freedecomp.conjecture import canonical_generators, check_h_theta_surjective, decompose_and_check
 from freedecomp.covgraph import lambda_components, trace
 from freedecomp.freeprod import EMPTY, invert, is_normal_form, normalize, parse_word, theta_word
 from freedecomp.higgins import build_theta_tree
@@ -414,7 +414,7 @@ def test_exact_c7_rejects_benchmark_tamperings(corpus):
             check_h_theta_surjective(inst.system, inst.gens, 200)
         except ThetaNotSurjectiveOntoB:
             continue
-        cert = conjecture_decompose(inst.system, inst.gens, Bounds(max_cosets=200))
+        cert = conjecture_decompose(inst.system, inst.gens)
         for kind, candidate in [("valid", cert)] + list(_tampered(inst.system, cert)):
             c7 = verify_certificate(inst.system, inst.gens, candidate, max_cosets=200).checks[-1]
             assert (c7.status == "pass") == (kind == "valid"), (kind, c7.details)
