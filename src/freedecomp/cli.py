@@ -6,7 +6,8 @@ written; ``decompose`` then removes the outputs it already wrote), 4
 internal error (an uncaught exception, reported as ``internal error:
 <type>: <msg>``).  Every command that reads H works on H's core, which
 is never completed, so no command has a bound and H may have infinite
-index.
+index.  An existing output file is rewritten in place: the new text is
+written over it, and its old tail is cut off after that.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys as _sys
 from pathlib import Path
 
@@ -96,7 +99,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -108,8 +111,12 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         _sys.stdout.write(text)
         return
+    # no O_TRUNC: freeing the old blocks costs more than overwriting them
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # /dev/null cannot be truncated
+                fh.truncate()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 

@@ -2,6 +2,7 @@ import argparse
 import copy
 import itertools
 import json
+import os
 import random
 import re
 
@@ -408,6 +409,17 @@ def test_unreadable_file(tmp_path):
     assert main(["decompose", str(tmp_path / "missing.json"), "-o", str(tmp_path / "c.json")]) == 3
 
 
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    # json's decoder raises RecursionError, not JSONDecodeError, past the
+    # recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    for argv in (["kurosh", str(deep)], ["verify", sys_file, str(deep)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: cannot read {deep}: maximum recursion depth")
+
+
 def test_tree_bounds_are_not_settable(tmp_path, capsys):
     # the transversal search's bounds are constants: a file's tree keys are
     # ignored like any unknown key, and decompose has no flag for them
@@ -557,18 +569,18 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("kurosh", "-o"),
-        ("decompose", "-o"),
-        ("decompose", "--report"),
-        ("decompose", "--dot"),
-        ("verify", "-o"),
-        ("graph", "--dot"),
-    ],
-)
-def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag):
+OUTPUT_FLAGS = [
+    ("kurosh", "-o"),
+    ("decompose", "-o"),
+    ("decompose", "--report"),
+    ("decompose", "--dot"),
+    ("verify", "-o"),
+    ("graph", "--dot"),
+]
+
+
+def _output_argv(tmp_path, command, flag) -> list[str]:
+    """``command``'s arguments on SYS_A, all but ``flag`` and its path."""
     sys_file = write(tmp_path, "sys.json", SYS_A)
     cert_file = str(tmp_path / "cert.json")
     assert main(["decompose", sys_file, "-o", cert_file]) == 0
@@ -577,10 +589,33 @@ def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag
         argv += ["-o", str(tmp_path / "c2.json")]
     if command == "verify":
         argv.append(cert_file)
+    return argv
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag):
+    argv = _output_argv(tmp_path, command, flag)
     capsys.readouterr()
     for bad in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
         assert main(argv + [flag, bad]) == 3
         assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_existing_output_is_rewritten_to_the_fresh_bytes(tmp_path, monkeypatch, capsys, command, flag):
+    # outputs are rewritten in place, so a longer old file must lose its tail
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)  # reports repeat byte for byte
+    argv = _output_argv(tmp_path, command, flag)
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    old.write_bytes(b"junk" * 25_000)
+    assert main(argv + [flag, str(fresh)]) == 0
+    assert main(argv + [flag, str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    text = fresh.read_text(encoding="utf-8")
+    if flag != "--dot":  # JSON outputs: indent=2 and a final newline, nothing else
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # /dev/null is no regular file and cannot be truncated
+    assert main(argv + [flag, os.devnull]) == 0
 
 
 @pytest.mark.parametrize("bad_flag", ["--dot", "--report"])
