@@ -6,8 +6,11 @@ written; ``decompose`` then removes the outputs it already wrote), 4
 internal error (an uncaught exception, reported as ``internal error:
 <type>: <msg>``).  Every command that reads H works on H's core, which
 is never completed, so no command has a bound and H may have infinite
-index.  An existing output file is rewritten in place: the new text is
-written over it, and its old tail is cut off after that.
+index.  Each file moves through one OS descriptor, without Python's
+buffered text stack: an input's bytes are read whole, decoded as UTF-8
+(a file that is not UTF-8 is invalid input naming its path), given text
+mode's newline translation and parsed; an output's UTF-8 bytes are written
+over any existing file, whose old tail is cut off after that.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 3
 EXIT_INTERNAL = 4
+
+_READ_SIZE = 1 << 16  # bytes per os.read; a system file of the corpus takes one
 
 
 class InputError(ValueError):
@@ -97,9 +102,21 @@ def load_system(data: dict) -> tuple[FactorSystem, list, Bounds]:
 
 def _read_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        except IsADirectoryError as exc:  # open() named the file, read() does not
+            exc.filename = path
+            raise
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
+        if "\r" in text:  # the newline translation of text mode
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -111,12 +128,18 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         _sys.stdout.write(text)
         return
-    # no O_TRUNC: freeing the old blocks costs more than overwriting them
+    data = text.encode("utf-8")
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # /dev/null cannot be truncated
-                fh.truncate()
+        # no O_TRUNC: freeing the old blocks costs more than overwriting them
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be truncated
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 

@@ -264,17 +264,17 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
     f1.write_text(json.dumps(bad), encoding="utf-8")
     code_nonsurj = main(["decompose", str(f1), "-o", str(tmp_path / "c1.json")])
 
-    # image of H proper in B: detected before the Kurosh read-off
+    # image of H proper in B: named by the image test once C1-C7 fail
     from freedecomp.freeprod import make_system
     from conftest import Z2
 
     sys_id = make_system([Z2, Z2], [Z2, Z2], [[0, 1], [0, 1]])
     gens = [parse_word(sys_id, "G", "0:1"), parse_word(sys_id, "G", "1:1 0:1 1:1")]
-    precheck_raised = False
+    image_test_raised = False
     try:
         conjecture_decompose(sys_id, gens)
     except ThetaNotSurjectiveOntoB:
-        precheck_raised = True
+        image_test_raised = True
 
     # trivial subgroup of an infinite product: infinite index, but kurosh
     # reads its one-vertex core, so exit 0 with no pieces and free rank 0
@@ -286,12 +286,12 @@ def test_criterion_7_negative_paths(tmp_path, capsys):
     code_trivial = main(["kurosh", str(f2)])
     trivial = json.loads(capsys.readouterr().out)
 
-    ok = code_nonsurj == 3 and precheck_raised and code_trivial == 0
+    ok = code_nonsurj == 3 and image_test_raised and code_trivial == 0
     ok = ok and trivial["pieces"] == [] and trivial["free_rank"] == 0
     with capsys.disabled():
         _report(
             7,
             ok,
-            f"non-surjective theta exit {code_nonsurj}, image precheck before the Kurosh read-off, "
+            f"non-surjective theta exit {code_nonsurj}, image test names the non-onto failure, "
             f"trivial subgroup exit {code_trivial} with free rank {trivial['free_rank']}",
         )

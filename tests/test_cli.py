@@ -3,8 +3,10 @@ import copy
 import itertools
 import json
 import os
+import gc
 import random
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,6 +411,74 @@ def test_unreadable_file(tmp_path):
     assert main(["decompose", str(tmp_path / "missing.json"), "-o", str(tmp_path / "c.json")]) == 3
 
 
+MALFORMED = b'{\n  "factors_G": ["cyclic 2"],\n  "subgroup": ["0:1",]\n}\n'
+
+
+def _read_argv(tmp_path, role: str, path: str) -> list[str]:
+    """A command that reads ``path`` as its system file or its certificate."""
+    if role == "system":
+        return ["kurosh", path]
+    return ["verify", write(tmp_path, "sys.json", SYS_A), path]
+
+
+@pytest.mark.parametrize("role", ["system", "certificate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        ("directory", "[Errno 21] Is a directory: '{path}'"),
+        (b'\xef\xbb\xbf{"factors_G": ["cyclic 2"]}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        # text mode reads \r\n and a lone \r as \n, so the position is the same
+        (MALFORMED, "Expecting value: line 3 column 22 (char 52)"),
+        (MALFORMED.replace(b"\n", b"\r\n"), "Expecting value: line 3 column 22 (char 52)"),
+        (MALFORMED.replace(b"\n", b"\r"), "Expecting value: line 3 column 22 (char 52)"),
+    ],
+    ids=["missing", "directory", "bom", "lf", "crlf", "cr"],
+)
+def test_unreadable_input_names_its_path(tmp_path, capsys, role, content, message):
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(_read_argv(tmp_path, role, str(path))) == 3
+    assert capsys.readouterr().err == f"invalid input: cannot read {path}: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("role", ["system", "certificate"])
+def test_non_utf8_input_names_its_path(tmp_path, capsys, role):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"factors_G": ["cyc\xffic 2"]}')
+    assert main(_read_argv(tmp_path, role, str(path))) == 3
+    message = "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"
+    assert capsys.readouterr().err == f"invalid input: cannot read {path}: {message}\n"
+
+
+def test_crlf_and_large_system_files_load_like_plain_ones(tmp_path, capsys):
+    plain = json.dumps(SYS_B, indent=2).encode()
+    outputs = []
+    for name, content in (
+        ("lf.json", plain),
+        ("crlf.json", plain.replace(b"\n", b"\r\n")),
+        ("cr.json", plain.replace(b"\n", b"\r")),
+    ):
+        (tmp_path / name).write_bytes(content)
+        assert main(["kurosh", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    # the explicit table of Z400 takes many reads of the file
+    z400 = [[(i + j) % 400 for j in range(400)] for i in range(400)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"factors_G": [{"table": z400}, "cyclic 3"], "subgroup": SYS_B["subgroup"]}))
+    assert big.stat().st_size > 700_000
+    short = write(tmp_path, "short.json", {"factors_G": ["cyclic 400", "cyclic 3"], "subgroup": SYS_B["subgroup"]})
+    assert main(["kurosh", str(big)]) == 0
+    from_table = capsys.readouterr().out
+    assert main(["kurosh", short]) == 0
+    assert capsys.readouterr().out == from_table
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     # json's decoder raises RecursionError, not JSONDecodeError, past the
     # recursion limit
@@ -596,7 +666,9 @@ def _output_argv(tmp_path, command, flag) -> list[str]:
 def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag):
     argv = _output_argv(tmp_path, command, flag)
     capsys.readouterr()
-    for bad in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+    # /dev/full opens but fails the write itself
+    full = ["/dev/full"] if os.path.exists("/dev/full") else []
+    for bad in [str(tmp_path / "missing" / "out.txt"), str(tmp_path)] + full:
         assert main(argv + [flag, bad]) == 3
         assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
 
@@ -608,14 +680,40 @@ def test_existing_output_is_rewritten_to_the_fresh_bytes(tmp_path, monkeypatch, 
     argv = _output_argv(tmp_path, command, flag)
     fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
     old.write_bytes(b"junk" * 25_000)
+    old.chmod(0o640)
     assert main(argv + [flag, str(fresh)]) == 0
     assert main(argv + [flag, str(old)]) == 0
     assert old.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    # a new output gets mode 0o666 less the umask
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        new = tmp_path / f"new{umask:o}.out"
+        saved = os.umask(umask)
+        try:
+            assert main(argv + [flag, str(new)]) == 0
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(new.stat().st_mode) == mode
+        assert new.read_bytes() == fresh.read_bytes()
     text = fresh.read_text(encoding="utf-8")
     if flag != "--dot":  # JSON outputs: indent=2 and a final newline, nothing else
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
     # /dev/null is no regular file and cannot be truncated
     assert main(argv + [flag, os.devnull]) == 0
+
+
+def test_large_output_is_rewritten_over_shorter_and_longer_files(tmp_path, capsys):
+    # the core of <(ab)^6500> in Z2 * Z3 renders to more than 1 MiB of DOT
+    sys_file = write(tmp_path, "sys.json", {"factors_G": ["cyclic 2", "cyclic 3"], "subgroup": ["0:1 1:1 " * 6500]})
+    fresh = tmp_path / "fresh.dot"
+    assert main(["graph", sys_file, "--dot", str(fresh)]) == 0
+    size = fresh.stat().st_size
+    assert size > 1 << 20
+    for junk in (1_000, size + 100_000):
+        old = tmp_path / f"old{junk}.dot"
+        old.write_bytes(b"x" * junk)
+        assert main(["graph", sys_file, "--dot", str(old)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("bad_flag", ["--dot", "--report"])
@@ -632,6 +730,43 @@ def test_failed_decompose_write_leaves_no_outputs(tmp_path, capsys, bad_flag):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
     assert main(["decompose", sys_file, "-o", str(cert), "--dot", str(dot), "--report", str(report)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "g.dot", "r.json", "sys.json"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the entries of /proc/self/fd")
+def test_no_command_leaks_a_descriptor(tmp_path, capsys):
+    # a raw descriptor left open raises no ResourceWarning, so count them
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert = str(tmp_path / "cert.json")
+    malformed, bad_utf8 = tmp_path / "malformed.json", tmp_path / "bad8.json"
+    malformed.write_bytes(MALFORMED)
+    bad_utf8.write_bytes(b'{"factors_G": ["cyc\xffic 2"]}')
+
+    def out(name: str) -> str:
+        return str(tmp_path / name)
+
+    runs = [
+        (["decompose", sys_file, "-o", cert, "--report", out("r.json"), "--dot", out("g.dot")], 0),
+        (["kurosh", sys_file, "-o", out("k.json")], 0),
+        (["verify", sys_file, cert, "-o", out("v.json")], 0),
+        (["graph", sys_file, "--dot", out("g.dot")], 0),
+        (["normalform", sys_file, "0:1 0:1"], 0),
+        (["member", sys_file, "0:1"], 0),
+        (["kurosh", out("missing.json")], 3),
+        (["kurosh", str(tmp_path)], 3),
+        (["verify", sys_file, str(tmp_path)], 3),
+        (["kurosh", str(malformed)], 3),
+        (["verify", sys_file, str(bad_utf8)], 3),
+        (["kurosh", sys_file, "-o", str(tmp_path)], 3),
+        (["decompose", sys_file, "-o", out("c2.json"), "--dot", out("g2.dot"), "--report", out("no/r.json")], 3),
+    ]
+    if os.path.exists("/dev/full"):  # opens, then fails the write
+        runs.append((["graph", sys_file, "--dot", "/dev/full"], 3))
+    for argv, code in runs:
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(argv) == code, argv
+        assert len(os.listdir("/proc/self/fd")) == before, argv
+    assert not os.path.exists(out("c2.json")) and not os.path.exists(out("g2.dot"))
 
 
 def _parser_sequence(tmp_path) -> list[list[str]]:

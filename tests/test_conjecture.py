@@ -193,6 +193,35 @@ def test_system_hash_is_computed_at_most_once_per_decompose(sys_a, sys_a_gens, m
     assert calls == []
 
 
+def test_image_test_runs_only_to_name_a_failure(corpus, monkeypatch):
+    # a passing report implies theta(H) = B, so an onto system decomposes
+    # without the image test, and a non-onto one fails C1-C7 and is named
+    # by the image test's own message
+    from freedecomp import conjecture
+
+    messages = []
+    for inst in corpus:
+        try:
+            check_h_theta_surjective(inst.system, inst.gens)
+            messages.append(None)
+        except ThetaNotSurjectiveOntoB as exc:
+            messages.append(str(exc))
+    assert 0 < messages.count(None) < len(corpus)
+
+    def image_test(*args):
+        raise AssertionError("image test ran on an onto system")
+
+    for inst, message in zip(corpus, messages):
+        if message is None:
+            with monkeypatch.context() as m:
+                m.setattr(conjecture, "check_h_theta_surjective", image_test)
+                assert decompose_and_check(inst.system, inst.gens)[1].verdict
+        else:
+            with pytest.raises(ThetaNotSurjectiveOntoB) as raised:
+                decompose_and_check(inst.system, inst.gens)
+            assert str(raised.value) == message
+
+
 def test_canonical_generators():
     assert canonical_generators([(), ((0, 1),), ((0, 1),)]) == (((0, 1),),)
     assert canonical_generators([((1, 1),), ((0, 1),)]) == (((0, 1),), ((1, 1),))
