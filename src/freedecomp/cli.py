@@ -11,6 +11,17 @@ buffered text stack: an input's bytes are read whole, decoded as UTF-8
 (a file that is not UTF-8 is invalid input naming its path), given text
 mode's newline translation and parsed; an output's UTF-8 bytes are written
 over any existing file, whose old tail is cut off after that.
+
+Implementation notes (not shown by ``--help``).  Each command is declared
+once, in ``_COMMANDS``.  ``main`` reads a well-formed command line straight
+off that table and builds the argparse parser from it only for help, usage
+errors and the spellings only argparse reads (``--out``, ``--output=x``,
+``--``, ``-``): right after a garbage collection, argparse's walk over
+seven cold parsers costs a small command more than its group theory.
+``_dump`` writes indented JSON with a short recursive writer and C string
+escaping, not ``json.dumps(obj, indent=2)``: CPython's C encoder does not
+indent, so that call runs the generator-based pure-Python encoder, which
+is slower for the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +32,9 @@ import json
 import os
 import stat
 import sys as _sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from .conjecture import (
     Bounds,
@@ -36,6 +49,8 @@ from .fingroup import GroupTableError, NotAHomomorphism, NotSurjective, cyclic, 
 from .freeprod import FactorSystem, format_word, make_system, parse_word
 from .kurosh import kurosh_decompose
 from .verify import MalformedCertificate, VerificationReport, verify_certificate
+
+_NOTES = "\n\nImplementation notes"  # where --help's description ends
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,10 +68,13 @@ def _load_group(entry, default_name: str):
     if isinstance(entry, str):
         parts = entry.split()
         if len(parts) == 2 and parts[0] in ("cyclic", "sym"):
+            # n is ASCII decimal: int() alone also reads "1_0", "+3" and "٣"
             try:
-                n = int(parts[1])
-            except ValueError as exc:
-                raise InputError(f"bad group shorthand {entry!r}") from exc
+                n = int(parts[1]) if parts[1].isascii() and parts[1].isdecimal() else None
+            except ValueError:  # more digits than int() converts
+                n = None
+            if n is None:
+                raise InputError(f"bad group shorthand {entry!r}")
             return cyclic(n) if parts[0] == "cyclic" else sym(n)
         raise InputError(f"unknown group shorthand {entry!r} (use 'cyclic n' or 'sym n')")
     if isinstance(entry, dict) and "table" in entry:
@@ -121,7 +139,34 @@ def _read_json(path: str):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for dicts with
+    str keys, lists, tuples, str, int, float, bool and None."""
+    return _json(obj, "\n") + "\n"
+
+
+_json_str = json.encoder.encode_basestring_ascii  # C; raises TypeError on a non-str
+
+
+def _json(obj, newline: str) -> str:
+    """``obj`` as indented JSON whose lines start with ``newline``."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_str(key) + ": " + _json(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(value, inner) for value in obj]) + newline + "]"
+    if obj is None or isinstance(obj, (bool, float)):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -292,56 +337,109 @@ def cmd_member(args) -> int:
     return EXIT_OK
 
 
+class _Option(NamedTuple):
+    flags: tuple[str, ...]
+    dest: str
+    default: str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    fn: Callable[[argparse.Namespace], int]
+    help: str
+    positionals: tuple[str, ...]
+    options: tuple[_Option, ...] = ()
+
+
+# Each command once: build_parser and _direct_args both read this table.
+_COMMANDS = {
+    "decompose": _Command(
+        cmd_decompose,
+        "decompose a subgroup factor-wise and verify the certificate",
+        ("system",),
+        (
+            _Option(("-o", "--output"), "output", "certificate.json"),
+            _Option(("--report",), "report", help="also write the report as JSON"),
+            _Option(("--dot",), "dot", help="write the core of the subgroup as DOT"),
+        ),
+    ),
+    "kurosh": _Command(
+        cmd_kurosh,
+        "free-product decomposition of a subgroup",
+        ("system",),
+        (_Option(("-o", "--output"), "output", "-"),),
+    ),
+    "verify": _Command(
+        cmd_verify, "re-verify a certificate", ("system", "certificate"), (_Option(("-o", "--output"), "output"),)
+    ),
+    "graph": _Command(
+        cmd_graph,
+        "emit the core of the subgroup as DOT",
+        ("system",),
+        (_Option(("--dot",), "dot", "-", help="output path (default stdout)"),),
+    ),
+    "normalform": _Command(
+        cmd_normalform, "normal form of a word", ("system", "word"), (_Option(("--side",), "side", "G", ("G", "B")),)
+    ),
+    "member": _Command(cmd_member, "test membership of a word in the subgroup", ("system", "word")),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one: ``parse_args`` only reads it, so each ``main`` call in a
-    process skips rebuilding seven parsers."""
-    parser = argparse.ArgumentParser(prog="freedecomp", description=__doc__)
+    """The argparse parser of the command table, built on the first call
+    and shared by every later one (``parse_args`` only reads it).  ``main``
+    calls it only for a command line ``_direct_args`` leaves to it: help,
+    usage errors and the spellings only argparse reads.  Its description is
+    the module docstring up to the implementation notes."""
+    parser = argparse.ArgumentParser(prog="freedecomp", description=__doc__ and __doc__.partition(_NOTES)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="decompose a subgroup factor-wise and verify the certificate")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", default="certificate.json")
-    p.add_argument("--report", default=None, help="also write the report as JSON")
-    p.add_argument("--dot", default=None, help="write the core of the subgroup as DOT")
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("kurosh", help="free-product decomposition of a subgroup")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(fn=cmd_kurosh)
-
-    p = sub.add_parser("verify", help="re-verify a certificate")
-    p.add_argument("system")
-    p.add_argument("certificate")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("graph", help="emit the core of the subgroup as DOT")
-    p.add_argument("system")
-    p.add_argument("--dot", default="-", help="output path (default stdout)")
-    p.set_defaults(fn=cmd_graph)
-
-    p = sub.add_parser("normalform", help="normal form of a word")
-    p.add_argument("system")
-    p.add_argument("word")
-    p.add_argument("--side", choices=("G", "B"), default="G")
-    p.set_defaults(fn=cmd_normalform)
-
-    p = sub.add_parser("member", help="test membership of a word in the subgroup")
-    p.add_argument("system")
-    p.add_argument("word")
-    p.set_defaults(fn=cmd_member)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        for opt in command.options:
+            p.add_argument(*opt.flags, dest=opt.dest, default=opt.default, choices=opt.choices, help=opt.help)
+        p.set_defaults(fn=command.fn)
     return parser
 
 
+def _direct_args(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    the command table; ``None`` unless ``argv`` names a command, spells
+    each option exactly, follows each with a value not starting with
+    ``-`` (and one of its choices) and gives the command's number of
+    positionals.  Everything else, ``-h``, ``--out``, ``--output=x``,
+    ``--`` and ``-`` among it, is left to argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {opt.dest: opt.default for opt in command.options}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        opt = next((opt for opt in command.options if token in opt.flags), None)
+        value = next(tokens, "-")
+        if opt is None or value.startswith("-") or (opt.choices and value not in opt.choices):
+            return None
+        values[opt.dest] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    return argparse.Namespace(command=argv[0], **dict(zip(command.positionals, positionals)), **values, fn=command.fn)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, a usage error 2
-        return EXIT_INVALID if exc.code else EXIT_OK
+    argv = _sys.argv[1:] if argv is None else argv
+    args = _direct_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, a usage error 2
+            return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (

@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import copy
 import itertools
 import json
 import os
 import gc
+import io
 import random
 import re
 import stat
@@ -241,6 +243,17 @@ def test_cyclic_past_its_cap_is_invalid_input_before_any_table_is_built(tmp_path
     assert main(["kurosh", sys_file]) == 3
     err = capsys.readouterr().err
     assert err == f"invalid input: cyclic(n) supports 1 <= n <= {fingroup.CYCLIC_MAX}, got {n}\n"
+
+
+@pytest.mark.parametrize("shorthand", ["cyclic 1_0", "cyclic \u0663", "sym +3", "cyclic -1"])
+@pytest.mark.parametrize("side", ["factors_G", "factors_B"])
+def test_shorthand_size_is_ascii_decimal(tmp_path, capsys, side, shorthand):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    system = {"factors_G": ["cyclic 2", "cyclic 3"], "factors_B": ["cyclic 2", "cyclic 3"], "subgroup": ["0:1"]}
+    system["theta"] = [[0, 1], [0, 1, 2]]
+    system[side][1] = shorthand
+    assert main(["kurosh", write(tmp_path, "sys.json", system)]) == 3
+    assert capsys.readouterr().err == f"invalid input: bad group shorthand {shorthand!r}\n"
 
 
 def test_shorthand_groups_are_built_once(monkeypatch):
@@ -786,8 +799,8 @@ def _parser_sequence(tmp_path) -> list[list[str]]:
     ]
 
 
-def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
-    sequence = _parser_sequence(tmp_path)
+def _count_parsers(monkeypatch) -> list:
+    """Clear the cached parser and record every ArgumentParser built after."""
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -797,9 +810,196 @@ def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
 
     cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    sequence = _parser_sequence(tmp_path)
+    built = _count_parsers(monkeypatch)
     assert [main(argv) for argv in sequence] == [0, 0, 3, 0, 3, 3, 3]
     # one top-level parser and one per subcommand, all from the first call
     assert len(built) == 7
+
+
+def test_well_formed_command_lines_build_no_parser(tmp_path, monkeypatch, capsys):
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+
+    def out(name):
+        return str(tmp_path / name)
+
+    runs = [
+        ["decompose", sys_file, "-o", cert_file, "--report", out("report.json"), "--dot", out("h.dot")],
+        ["decompose", "--output", out("c2.json"), sys_file],
+        ["kurosh", sys_file],
+        ["kurosh", sys_file, "--output", out("k.json")],
+        ["verify", sys_file, cert_file],
+        ["verify", "-o", out("v.json"), sys_file, cert_file],
+        ["graph", sys_file],
+        ["graph", sys_file, "--dot", out("g.dot")],
+        ["normalform", sys_file, "0:1 0:1"],
+        ["normalform", sys_file, "0:1 0:1 0:1", "--side", "B"],
+        ["member", sys_file, "1:1 0:1 1:1"],
+    ]
+    built = _count_parsers(monkeypatch)
+    assert [main(argv) for argv in runs] == [0] * len(runs)
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    assert built == []
+
+
+# the help texts at COLUMNS=80, as argparse printed them before the command table
+HELP_TEXTS = {
+    "": """\
+usage: freedecomp [-h] {decompose,kurosh,verify,graph,normalform,member} ...
+
+Command-line interface: JSON in, certificates/reports/DOT out. Exit codes: 0
+success, 1 verification or decomposition failure, 3 invalid input (including
+command-line usage errors and output paths that cannot be written;
+``decompose`` then removes the outputs it already wrote), 4 internal error (an
+uncaught exception, reported as ``internal error: <type>: <msg>``). Every
+command that reads H works on H's core, which is never completed, so no
+command has a bound and H may have infinite index. Each file moves through one
+OS descriptor, without Python's buffered text stack: an input's bytes are read
+whole, decoded as UTF-8 (a file that is not UTF-8 is invalid input naming its
+path), given text mode's newline translation and parsed; an output's UTF-8
+bytes are written over any existing file, whose old tail is cut off after
+that.
+
+positional arguments:
+  {decompose,kurosh,verify,graph,normalform,member}
+    decompose           decompose a subgroup factor-wise and verify the
+                        certificate
+    kurosh              free-product decomposition of a subgroup
+    verify              re-verify a certificate
+    graph               emit the core of the subgroup as DOT
+    normalform          normal form of a word
+    member              test membership of a word in the subgroup
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "decompose": """\
+usage: freedecomp decompose [-h] [-o OUTPUT] [--report REPORT] [--dot DOT]
+                            system
+
+positional arguments:
+  system
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+  --report REPORT       also write the report as JSON
+  --dot DOT             write the core of the subgroup as DOT
+""",
+    "kurosh": """\
+usage: freedecomp kurosh [-h] [-o OUTPUT] system
+
+positional arguments:
+  system
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+""",
+    "verify": """\
+usage: freedecomp verify [-h] [-o OUTPUT] system certificate
+
+positional arguments:
+  system
+  certificate
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+""",
+    "graph": """\
+usage: freedecomp graph [-h] [--dot DOT] system
+
+positional arguments:
+  system
+
+options:
+  -h, --help  show this help message and exit
+  --dot DOT   output path (default stdout)
+""",
+    "normalform": """\
+usage: freedecomp normalform [-h] [--side {G,B}] system word
+
+positional arguments:
+  system
+  word
+
+options:
+  -h, --help    show this help message and exit
+  --side {G,B}
+""",
+    "member": """\
+usage: freedecomp member [-h] system word
+
+positional arguments:
+  system
+  word
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS))
+def test_help_texts_are_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
+_ARGV_TOKENS = [
+    *cli._COMMANDS,
+    "bogus",
+    *sorted({flag for command in cli._COMMANDS.values() for opt in command.options for flag in opt.flags}),
+    *["--out", "--rep", "--output=x", "-ox", "-", "--", "-h", "--help", "-1"],
+    *["", "sys.json", "0:1 1:1", "x=y", "G", "B", "C"],
+]
+
+
+@given(st.sampled_from([*cli._COMMANDS, None]), st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7))
+@settings(max_examples=600, deadline=None)
+def test_direct_parse_agrees_with_argparse(command, tail):
+    argv = [command, *tail] if command else tail
+    direct = cli._direct_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = cli.build_parser().parse_args(argv)
+    except SystemExit:  # help or a usage error: argparse alone answers those
+        assert direct is None, argv
+    else:
+        assert direct is None or direct == expected, argv
+
+
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("nan"), float("-inf")])
+    | st.text()
+    | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\n\t\"\\", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_TREES)
+@settings(max_examples=400, deadline=None)
+def test_dump_writes_the_bytes_of_json_dumps(obj):
+    assert cli._dump(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, {"a": [1, {"b": {2}}]}, object(), {1: "a"}])
+def test_dump_raises_type_error_outside_its_types(obj):
+    with pytest.raises(TypeError):
+        cli._dump(obj)
 
 
 def test_shared_parser_answers_do_not_depend_on_call_order(tmp_path, capsys):
