@@ -2,15 +2,18 @@
 
 Exit codes: 0 success, 1 verification or decomposition failure, 3 invalid
 input (including command-line usage errors and output paths that cannot be
-written; ``decompose`` then removes the outputs it already wrote), 4
-internal error (an uncaught exception, reported as ``internal error:
-<type>: <msg>``).  Every command that reads H works on H's core, which
-is never completed, so no command has a bound and H may have infinite
-index.  Each file moves through one OS descriptor, without Python's
+written), 4 internal error (an uncaught exception, reported as ``internal
+error: <type>: <msg>``).  Every command that reads H works on H's core,
+which is never completed, so no command has a bound and H may have
+infinite index.  Each file moves through one OS descriptor, without Python's
 buffered text stack: an input's bytes are read whole, decoded as UTF-8
 (a file that is not UTF-8 is invalid input naming its path), given text
 mode's newline translation and parsed; an output's UTF-8 bytes are written
-over any existing file, whose old tail is cut off after that.
+over any existing file, whose old tail is cut off after that.  Each command
+writes one output: ``decompose`` the certificate, ``verify -o`` the report,
+``kurosh`` the decomposition and ``graph`` the core as DOT.  An output path
+``-`` is stdout, and ``decompose`` and ``verify`` then print their summary
+on stderr, so that stdout holds only the JSON.
 
 Implementation notes (not shown by ``--help``).  Each command is declared
 once, in ``_COMMANDS``.  ``main`` reads a well-formed command line straight
@@ -33,7 +36,6 @@ import os
 import stat
 import sys as _sys
 from collections.abc import Callable
-from pathlib import Path
 from typing import NamedTuple
 
 from .conjecture import (
@@ -189,22 +191,6 @@ def _write(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_all(outputs) -> None:
-    """Write rendered ``(path, text)`` outputs in order; when one cannot be
-    written, remove the files already written before raising, so a failed
-    command leaves no partial set of outputs behind."""
-    written = []
-    try:
-        for path, text in outputs:
-            _write(path, text)
-            if path not in (None, "-"):
-                written.append(Path(path))
-    except InputError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-
-
 def certificate_to_json(cert: ConjectureCertificate) -> dict:
     return {
         "system_hash": cert.system_hash,
@@ -286,16 +272,17 @@ def kurosh_to_json(decomp) -> dict:
     }
 
 
+def _print_summary(report: VerificationReport, output: str | None) -> None:
+    """The report's summary on stdout, or on stderr when the JSON output
+    goes to stdout, so that stdout parses as JSON."""
+    print(report.summary(), file=_sys.stderr if output == "-" else _sys.stdout)
+
+
 def cmd_decompose(args) -> int:
     system, gens, _ = load_system(_read_json(args.system))
-    cert, report, graph = decompose_and_check(system, gens)
-    outputs = [(args.output, _dump(certificate_to_json(cert)))]
-    if args.dot:
-        outputs.append((args.dot, to_dot(graph)))
-    if args.report:
-        outputs.append((args.report, _dump(report_to_json(report))))
-    _write_all(outputs)
-    print(report.summary())
+    cert, report, _ = decompose_and_check(system, gens)
+    _write(args.output, _dump(certificate_to_json(cert)))
+    _print_summary(report, args.output)
     return EXIT_OK
 
 
@@ -312,7 +299,7 @@ def cmd_verify(args) -> int:
     report = verify_certificate(system, gens, cert)
     if args.output:
         _write(args.output, _dump(report_to_json(report)))
-    print(report.summary())
+    _print_summary(report, args.output)
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAILED
 
 
@@ -358,11 +345,7 @@ _COMMANDS = {
         cmd_decompose,
         "decompose a subgroup factor-wise and verify the certificate",
         ("system",),
-        (
-            _Option(("-o", "--output"), "output", "certificate.json"),
-            _Option(("--report",), "report", help="also write the report as JSON"),
-            _Option(("--dot",), "dot", help="write the core of the subgroup as DOT"),
-        ),
+        (_Option(("-o", "--output"), "output", "certificate.json"),),
     ),
     "kurosh": _Command(
         cmd_kurosh,

@@ -38,9 +38,22 @@ The moves are judged on the cached images in B.  A free word costs
 len(theta(f)) - 1, and 0 when its image is trivial; a piece costs
 len(theta(p)), less one when the last syllable of theta(p) lies in B_lam.
 Each round, every element of positive cost takes the move that lowers its
-cost most, stopping its scan at the first move to cost 0, and rounds repeat
-until no move is taken.  Each move lowers one cost and leaves the others,
-so the nonnegative integer total falls and the reduction terminates.
+cost most, stopping its scan at the first move to cost 0.  The rounds run
+in three phases, each entered once a round of the one before takes no
+move: single moves; single moves and products of units; and then the same
+moves judged by the key (cost, len(theta), theta) in lexicographic order,
+the image compared as a tuple of syllables, so a move that keeps the cost
+but shortens the image, or keeps both and lowers the image, is taken too.
+The reduction returns once a round of the third phase takes no move.  A
+basis whose costs are all 0 takes no move in the third phase, so its
+certificate is the one the first two phases give.
+
+Why it terminates.  A move changes only the moved element's image, lowers
+its key (in the first two phases its cost, the key's first entry) and
+leaves every other element's key as it is.  An image of cost c has length
+at most c + 1, and B's factors are finite, so finitely many images cost at
+most c, and below any key lie finitely many keys.  So each element's key
+falls only finitely often, every phase ends, and so does the reduction.
 
 Why C1-C7 then pass, once every cost is 0.  A piece has theta(p) = 1 or
 theta(p) = b in B_lam; its representative is x = g^-1 p^-1 for g in G_lam
@@ -55,12 +68,21 @@ theta(H) = B, so the retraction of B onto B_lam shows that those of H_lam
 generate B_lam (C2).  The basis generates H (C5) and has as many free
 words as H's free rank (C7).
 
-Completeness of this greedy reduction is not proven: an element whose cost
-no single move and no product of units within one factor lowers stays
-positive, its piece is left uncorrected or its free word left in the
-factor of its edge, and the certificate fails C1 or C2, which raises
-CertificateRejected.  The tests pin three such stalls, onto S3*Z2 and
-S3*Z3, for which a certificate exists.
+Completeness of this greedy reduction is not proven: an element of
+positive cost whose key no move lowers stays positive, its piece is left
+uncorrected or its free word left in the factor of its edge, and the
+certificate fails C1 or C2, which raises CertificateRejected.  Classical
+Nielsen reduction in free products breaks ties the same way, by length
+and an order on the words (the Grushko-Neumann theorem; Lyndon-Schupp,
+Combinatorial Group Theory, ch. IV, section 1), but no proof is written
+for these moves.  No onto system is known on which the reduction stalls:
+every onto system of the seeded corpus and of the six-shape, growth and
+partial-action families the tests draw, and all 4,800 systems of
+eight_shape_family(seed, 25, 24) for seeds 1-4 and
+eight_shape_family(seed, 25, 40) for seeds 5-24, decomposes and verifies.
+The tests run the first 800 eight-shape systems and the 13 of the other
+4,000 on which products of units alone stalled.  No exhaustive family of
+the subgroups of small index has been run.
 """
 
 from __future__ import annotations
@@ -260,16 +282,20 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
                         queue.append(d)
                         yield ((mu, d),), reached[d]
 
-    def best_move(image: Word, cost, own_free: int, own_piece: int, sides: tuple[bool, ...], wide: bool):
-        """(new image, u, left?) of the move that lowers ``cost`` most, the
-        first one to reach 0, or None."""
-        best_cost, best = cost(image), None
-        for y, u in candidates(own_free, own_piece, wide):
+    def best_move(image: Word, cost, own_free: int, own_piece: int, sides: tuple[bool, ...], phase: int):
+        """(new image, u, left?) of the move that lowers ``cost`` most (in
+        phase 2, the key (cost, length, image) most), the first one to
+        reach cost 0, or None."""
+        ties = phase == 2
+        c = cost(image)
+        best_key, best = (c, len(image), image) if ties else c, None
+        for y, u in candidates(own_free, own_piece, phase > 0):
             for left in sides:
                 z = bmul(y, image) if left else bmul(image, y)
                 c = cost(z)
-                if c < best_cost:
-                    best_cost, best = c, (z, u, left)
+                key = (c, len(z), z) if ties else c
+                if key < best_key:
+                    best_key, best = key, (z, u, left)
                     if not c:
                         return best
         return best
@@ -285,12 +311,14 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
                 out = gmul(out, gmul(gmul(p, ((lam, which),)), invert(sys, "G", p)))
         return out
 
-    wide = False  # products of units are offered once single moves stall
+    # phase 0 offers single moves, phase 1 also products of units, and
+    # phase 2 also the moves that keep the cost but lower the key
+    phase = 0
     while True:
         moved = False
         for i, entry in enumerate(free):
             if _free_cost(entry[2]):
-                move = best_move(entry[2], _free_cost, i, -1, (False, True), wide)
+                move = best_move(entry[2], _free_cost, i, -1, (False, True), phase)
                 if move:
                     z, u, left = move
                     entry[1:] = gmul(word(u), entry[1]) if left else gmul(entry[1], word(u)), z
@@ -298,16 +326,16 @@ def _reduce(sys: FactorSystem, kd: KuroshDecomposition) -> tuple[list, list]:
         for j, entry in enumerate(pieces):
             cost = partial(_piece_cost, entry[0])
             if cost(entry[3]):
-                move = best_move(entry[3], cost, -1, j, (True,), wide)
+                move = best_move(entry[3], cost, -1, j, (True,), phase)
                 if move:
                     z, u, _ = move
                     entry[1], entry[3] = gmul(word(u), entry[1]), z
                     piece_units[j] = units(j)
                     moved = True
         if not moved:
-            if wide:
+            if phase == 2:
                 return pieces, free
-            wide = True
+            phase += 1
 
 
 def _assemble(sys: FactorSystem, pieces: list, free: list) -> ConjectureCertificate:

@@ -16,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 from freedecomp import build_core as real_build_core
 from freedecomp import cli, conjecture, covgraph, fingroup, verify
 from freedecomp.cli import main
-from freedecomp.conjecture import canonical_generators
+from freedecomp.conjecture import (
+    CertificateRejected,
+    ThetaNotSurjectiveOntoB,
+    canonical_generators,
+    decompose_and_check,
+)
+from freedecomp.covgraph import to_dot
 from freedecomp.fingroup import FiniteGroup, sym
 from freedecomp.freeprod import format_word
 
@@ -46,7 +52,7 @@ def test_decompose_roundtrip(tmp_path, capsys):
     sys_file = write(tmp_path, "sys.json", SYS_A)
     cert_file = str(tmp_path / "cert.json")
     report_file = str(tmp_path / "report.json")
-    code = main(["decompose", sys_file, "-o", cert_file, "--report", report_file])
+    code = main(["decompose", sys_file, "-o", cert_file])
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out
@@ -60,14 +66,13 @@ def test_decompose_roundtrip(tmp_path, capsys):
     assert fc0["f_basis"] == []
     assert cert["factors"][1]["reps"] == []
 
+    # re-verify from the written files: verdict must be reproduced
+    code = main(["verify", sys_file, cert_file, "-o", report_file])
+    assert code == 0
+    assert "verdict: pass" in capsys.readouterr().out
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
     assert len(report["checks"]) == 6
-
-    # re-verify from the written files: verdict must be reproduced
-    code = main(["verify", sys_file, cert_file])
-    assert code == 0
-    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_decompose_deterministic_bytes(tmp_path):
@@ -83,13 +88,10 @@ def test_decompose_deterministic_bytes(tmp_path):
 def test_decompose_bound_exceeded(tmp_path, capsys):
     # no command has a bound, so none exits 2: a file's bound of one coset
     # stops nothing, and the flags that set or needed a bound are usage
-    # errors; graph writes H's core, the graph decompose --dot writes
+    # errors
     phase2 = dict(SYS_A, subgroup=["0:1", "1:1 0:1 1:1 0:1 1:1"], bounds={"max_cosets": 1})
     sys_file = write(tmp_path, "sys.json", phase2)
-    dot_file = tmp_path / "core.dot"
-    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--dot", str(dot_file)]) == 0
-    assert main(["graph", sys_file, "--dot", str(tmp_path / "g.dot")]) == 0
-    assert (tmp_path / "g.dot").read_text() == dot_file.read_text()
+    assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json")]) == 0
     capsys.readouterr()
     for argv, flags in (
         (["decompose", sys_file, "-o", str(tmp_path / "x.json")], "--max-cosets 1"),
@@ -98,6 +100,61 @@ def test_decompose_bound_exceeded(tmp_path, capsys):
     ):
         assert main(argv + flags.split()) == 3
         assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+
+
+def test_decompose_writes_only_its_certificate(tmp_path, capsys):
+    # verify -o writes the report and graph --dot the core, so decompose
+    # takes no flag for either
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    for flags in ("--report r.json", "--dot g.dot"):
+        assert main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), *flags.split()]) == 3
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
+
+
+def test_graph_and_verify_write_what_decompose_found(tmp_path, capsys, corpus):
+    # on every certified corpus system, with its generators reversed and
+    # repeated, graph --dot writes the core decompose's checks ran on, and
+    # verify -o the report decompose printed, up to the checks' times
+    def untimed(report: dict) -> dict:
+        return dict(report, checks=[{k: v for k, v in c.items() if k != "elapsed_ms"} for c in report["checks"]])
+
+    cert_file, dot_file, report_file = (tmp_path / name for name in ("c.json", "g.dot", "r.json"))
+    certified = 0
+    for inst in corpus:
+        gens = [*reversed(inst.gens), *inst.gens]
+        try:
+            _, report, graph = decompose_and_check(inst.system, gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
+            continue
+        payload = dict(inst.system.description(), subgroup=[format_word(w) for w in gens])
+        sys_file = write(tmp_path, "sys.json", payload)
+        assert main(["decompose", sys_file, "-o", str(cert_file)]) == 0
+        assert main(["graph", sys_file, "--dot", str(dot_file)]) == 0
+        assert main(["verify", sys_file, str(cert_file), "-o", str(report_file)]) == 0
+        assert dot_file.read_text() == to_dot(graph)
+        assert untimed(json.loads(report_file.read_text())) == untimed(cli.report_to_json(report))
+        certified += 1
+    assert certified == 181
+
+
+@pytest.mark.parametrize("spelling", [["-o", "-"], ["--output=-"]])
+def test_summary_goes_to_stderr_when_the_json_goes_to_stdout(tmp_path, capsys, spelling):
+    sys_file = write(tmp_path, "sys.json", SYS_A)
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
+    on_stdout = capsys.readouterr()
+    assert on_stdout.out.endswith("verdict: pass\n") and on_stdout.err == ""
+    assert main(["decompose", sys_file, *spelling]) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "cert.json").read_text()
+    assert re.sub(r"\(\d+\.\d ms\)", "", err) == re.sub(r"\(\d+\.\d ms\)", "", on_stdout.out)
+    assert main(["verify", sys_file, cert_file, *spelling]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == "pass"
+    assert err.endswith("verdict: pass\n")
+    assert main(["verify", sys_file, cert_file]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_nonsurjective_theta_rejected(tmp_path, capsys):
@@ -403,19 +460,18 @@ def test_decompose_verify_and_kurosh_never_complete(tmp_path, monkeypatch, capsy
         "subgroup": ["0:1"],
     }
     sys_file = write(tmp_path, "sys.json", payload)
-    cert_file, dot_file = str(tmp_path / "cert.json"), tmp_path / "core.dot"
-    assert main(["decompose", sys_file, "-o", cert_file, "--dot", str(dot_file)]) == 0
+    cert_file = str(tmp_path / "cert.json")
+    assert main(["decompose", sys_file, "-o", cert_file]) == 0
     fc0, fc1 = json.loads((tmp_path / "cert.json").read_text())["factors"]
     assert (fc0["reps"], fc0["vertex_groups"], fc0["f_basis"]) == ([""], [["0:1"]], [])
     assert (fc1["reps"], fc1["vertex_groups"], fc1["f_basis"]) == ([], [], [])
-    assert dot_file.read_text().count("->") == 1  # the core: one vertex with its a-loop
     assert main(["verify", sys_file, cert_file]) == 0
     capsys.readouterr()
     assert main(["kurosh", sys_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [p["rep"] for p in out["pieces"]] == [""] and out["free_rank"] == 0
     assert main(["graph", sys_file]) == 0
-    assert capsys.readouterr().out == dot_file.read_text()
+    assert capsys.readouterr().out.count("->") == 1  # the core: one vertex with its a-loop
     assert main(["member", sys_file, "1:1 0:1 1:2"]) == 0
     assert capsys.readouterr().out == "false\n"
 
@@ -545,10 +601,9 @@ def test_decompose_builds_the_coset_graph_once(tmp_path, monkeypatch, capsys):
     for module in (cli, conjecture, verify):
         monkeypatch.setattr(module, "build_core", counting_build_core)
     monkeypatch.setattr(cli, "verify_certificate", no_verify)
-    code = main(["decompose", sys_file, "-o", str(tmp_path / "c.json"), "--dot", str(tmp_path / "g.dot")])
+    code = main(["decompose", sys_file, "-o", str(tmp_path / "c.json")])
     assert code == 0, capsys.readouterr()
     assert calls.count(h_gens) == 1
-    assert (tmp_path / "g.dot").read_text().count("->") == 4
 
 
 # S5 * Z2 onto Z2 * Z2 by (sign, identity); H is a point stabiliser of a
@@ -655,8 +710,6 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
 OUTPUT_FLAGS = [
     ("kurosh", "-o"),
     ("decompose", "-o"),
-    ("decompose", "--report"),
-    ("decompose", "--dot"),
     ("verify", "-o"),
     ("graph", "--dot"),
 ]
@@ -668,8 +721,6 @@ def _output_argv(tmp_path, command, flag) -> list[str]:
     cert_file = str(tmp_path / "cert.json")
     assert main(["decompose", sys_file, "-o", cert_file]) == 0
     argv = [command, sys_file]
-    if command == "decompose" and flag != "-o":
-        argv += ["-o", str(tmp_path / "c2.json")]
     if command == "verify":
         argv.append(cert_file)
     return argv
@@ -729,22 +780,6 @@ def test_large_output_is_rewritten_over_shorter_and_longer_files(tmp_path, capsy
         assert old.read_bytes() == fresh.read_bytes()
 
 
-@pytest.mark.parametrize("bad_flag", ["--dot", "--report"])
-def test_failed_decompose_write_leaves_no_outputs(tmp_path, capsys, bad_flag):
-    # every output is rendered before the first write, and the files
-    # written before a failing one are removed again
-    sys_file = write(tmp_path, "sys.json", SYS_A)
-    cert, dot, report = (tmp_path / name for name in ("c.json", "g.dot", "r.json"))
-    bad = str(tmp_path / "missing" / "out.txt")
-    paths = {"--dot": str(dot), "--report": str(report), bad_flag: bad}
-    argv = ["decompose", sys_file, "-o", str(cert), "--dot", paths["--dot"], "--report", paths["--report"]]
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith(f"invalid input: cannot write {bad}: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
-    assert main(["decompose", sys_file, "-o", str(cert), "--dot", str(dot), "--report", str(report)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "g.dot", "r.json", "sys.json"]
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the entries of /proc/self/fd")
 def test_no_command_leaks_a_descriptor(tmp_path, capsys):
     # a raw descriptor left open raises no ResourceWarning, so count them
@@ -758,7 +793,7 @@ def test_no_command_leaks_a_descriptor(tmp_path, capsys):
         return str(tmp_path / name)
 
     runs = [
-        (["decompose", sys_file, "-o", cert, "--report", out("r.json"), "--dot", out("g.dot")], 0),
+        (["decompose", sys_file, "-o", cert], 0),
         (["kurosh", sys_file, "-o", out("k.json")], 0),
         (["verify", sys_file, cert, "-o", out("v.json")], 0),
         (["graph", sys_file, "--dot", out("g.dot")], 0),
@@ -770,7 +805,8 @@ def test_no_command_leaks_a_descriptor(tmp_path, capsys):
         (["kurosh", str(malformed)], 3),
         (["verify", sys_file, str(bad_utf8)], 3),
         (["kurosh", sys_file, "-o", str(tmp_path)], 3),
-        (["decompose", sys_file, "-o", out("c2.json"), "--dot", out("g2.dot"), "--report", out("no/r.json")], 3),
+        (["decompose", sys_file, "-o", out("no/c2.json")], 3),
+        (["verify", sys_file, cert, "-o", out("no/v.json")], 3),
     ]
     if os.path.exists("/dev/full"):  # opens, then fails the write
         runs.append((["graph", sys_file, "--dot", "/dev/full"], 3))
@@ -779,7 +815,6 @@ def test_no_command_leaks_a_descriptor(tmp_path, capsys):
         before = len(os.listdir("/proc/self/fd"))
         assert main(argv) == code, argv
         assert len(os.listdir("/proc/self/fd")) == before, argv
-    assert not os.path.exists(out("c2.json")) and not os.path.exists(out("g2.dot"))
 
 
 def _parser_sequence(tmp_path) -> list[list[str]]:
@@ -789,8 +824,8 @@ def _parser_sequence(tmp_path) -> list[list[str]]:
     cert_file = str(tmp_path / "cert.json")
     assert main(["decompose", sys_file, "-o", cert_file]) == 0
     return [
-        ["decompose", sys_file, "-o", cert_file, "--report", str(tmp_path / "report.json")],
-        ["verify", sys_file, cert_file],
+        ["decompose", sys_file, "-o", cert_file],
+        ["verify", sys_file, cert_file, "-o", str(tmp_path / "report.json")],
         ["kurosh"],
         ["verify", "--help"],
         ["member", sys_file, "0:1", "--max-cosets", "0"],
@@ -829,7 +864,7 @@ def test_well_formed_command_lines_build_no_parser(tmp_path, monkeypatch, capsys
         return str(tmp_path / name)
 
     runs = [
-        ["decompose", sys_file, "-o", cert_file, "--report", out("report.json"), "--dot", out("h.dot")],
+        ["decompose", sys_file, "-o", cert_file],
         ["decompose", "--output", out("c2.json"), sys_file],
         ["kurosh", sys_file],
         ["kurosh", sys_file, "--output", out("k.json")],
@@ -854,16 +889,18 @@ usage: freedecomp [-h] {decompose,kurosh,verify,graph,normalform,member} ...
 
 Command-line interface: JSON in, certificates/reports/DOT out. Exit codes: 0
 success, 1 verification or decomposition failure, 3 invalid input (including
-command-line usage errors and output paths that cannot be written;
-``decompose`` then removes the outputs it already wrote), 4 internal error (an
-uncaught exception, reported as ``internal error: <type>: <msg>``). Every
-command that reads H works on H's core, which is never completed, so no
+command-line usage errors and output paths that cannot be written), 4 internal
+error (an uncaught exception, reported as ``internal error: <type>: <msg>``).
+Every command that reads H works on H's core, which is never completed, so no
 command has a bound and H may have infinite index. Each file moves through one
 OS descriptor, without Python's buffered text stack: an input's bytes are read
 whole, decoded as UTF-8 (a file that is not UTF-8 is invalid input naming its
 path), given text mode's newline translation and parsed; an output's UTF-8
 bytes are written over any existing file, whose old tail is cut off after
-that.
+that. Each command writes one output: ``decompose`` the certificate, ``verify
+-o`` the report, ``kurosh`` the decomposition and ``graph`` the core as DOT.
+An output path ``-`` is stdout, and ``decompose`` and ``verify`` then print
+their summary on stderr, so that stdout holds only the JSON.
 
 positional arguments:
   {decompose,kurosh,verify,graph,normalform,member}
@@ -879,8 +916,7 @@ options:
   -h, --help            show this help message and exit
 """,
     "decompose": """\
-usage: freedecomp decompose [-h] [-o OUTPUT] [--report REPORT] [--dot DOT]
-                            system
+usage: freedecomp decompose [-h] [-o OUTPUT] system
 
 positional arguments:
   system
@@ -888,8 +924,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   -o OUTPUT, --output OUTPUT
-  --report REPORT       also write the report as JSON
-  --dot DOT             write the core of the subgroup as DOT
 """,
     "kurosh": """\
 usage: freedecomp kurosh [-h] [-o OUTPUT] system

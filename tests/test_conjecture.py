@@ -24,7 +24,7 @@ from freedecomp.fingroup import cyclic, validate_group
 from freedecomp.freeprod import EMPTY, invert, make_system, parse_word
 from freedecomp.higgins import TreeBoundExceeded
 
-from conftest import S3, TRIV, Z2, sign_map_s3, six_shape_family, z2z3_point_stabilizer
+from conftest import S3, TRIV, Z2, eight_shape_family, sign_map_s3, six_shape_family, z2z3_point_stabilizer
 from naive_enum import (
     BetaImageNotInFactor,
     CrossFactorPieceNontrivial,
@@ -334,15 +334,15 @@ def test_decompose_on_its_own_claim_is_a_fixed_point(corpus):
 
 
 # (seed, index) -> (shape, core vertices) of the eight-shape systems on which
-# the reduction stalls even with products of units; a certificate exists
-# for each, so a complete reduction would certify them
-EIGHT_SHAPE_STALLS = {(2, 34): ("S4*Z2", 9), (4, 45): ("S4*Z2", 9), (3, 71): ("S4*Z3", 7)}
+# the reduction stalls; products of units left three, (2, 34) and (4, 45)
+# onto S3*Z2 and (3, 71) onto S3*Z3, which equal-cost moves certify
+EIGHT_SHAPE_STALLS: dict = {}
 
 
 def test_products_of_units_certify_the_eight_shape_family(eight_shapes):
     # single moves alone stall on 71 of these 800 onto systems, where a
     # factor of B has order above 3; with products of units within one
-    # factor of B, all but three decompose and verify
+    # factor of B and then equal-cost moves, all decompose and verify
     stalls = {}
     for seed, family in eight_shapes.items():
         assert len(family) == 200
@@ -355,6 +355,30 @@ def test_products_of_units_certify_the_eight_shape_family(eight_shapes):
                 continue
             assert verify_certificate(system, gens, cert).verdict, (seed, i)
     assert stalls == EIGHT_SHAPE_STALLS
+
+
+# (seed, index) in eight_shape_family(seed, 25, 40) of the systems on which
+# products of units stalled, each certified by equal-cost moves
+EIGHT_SHAPE_TIE_STALLS = {
+    7: (41,),
+    9: (41, 45),
+    13: (20, 37),
+    14: (46,),
+    15: (94,),
+    17: (44,),
+    18: (29, 37, 119),
+    21: (75,),
+    23: (90,),
+}
+
+
+def test_equal_cost_moves_certify_the_products_of_units_stalls():
+    for seed, indices in EIGHT_SHAPE_TIE_STALLS.items():
+        family = eight_shape_family(seed, per_shape=25, max_index=40)
+        for i in indices:
+            _, system, gens = family[i]
+            cert, report, _ = decompose_and_check(system, gens)
+            assert report.verdict and verify_certificate(system, gens, cert).verdict, (seed, i)
 
 
 def test_smallest_single_move_stall_decomposes(eight_shapes):
