@@ -136,7 +136,7 @@ def _read_json(path: str):
         if "\r" in text:  # the newline translation of text mode
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers decoding and JSON
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

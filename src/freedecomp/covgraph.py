@@ -43,6 +43,55 @@ component's root and root stabilizer, with no object per component.
 ``higgins_decompose``, ``kurosh_decompose`` and the verifier's checks C3,
 C4 and C7 read those arrays; ``lambda_components`` groups them into one
 ``LambdaComponent`` per component.
+
+A core depends only on its subgroup: for lists A and B of normal-form
+words (as ``parse_word`` and ``normalize`` return them),
+``build_core(sys, A) == build_core(sys, B)`` exactly when A and B generate
+the same subgroup H (Stallings, "Topology of finite graphs", Invent.
+Math. 71, 1983; for free products, Kapovich-Weidmann-Miasnikov, "Foldings,
+graphs of groups and the membership problem", IJAC 15, 2005).  Membership
+on a core is exact: a normal-form word lies in the subgroup exactly when
+it traces from the base back to the base.  So a core determines its
+subgroup, and it remains to read the core off H alone.  A path from the
+base to v reads an element p_v, and v's coset is H p_v: a loop at the base
+reads an element of H, since the generator cycles do, folding merges only
+the ends of two edges of equal label from one vertex, and saturation adds
+an edge, or merges two vertices, only where a path of the same label, or
+of label 1, already runs.  Every vertex is reached along a
+normal-form path: two successive lam-edges g, h lie in one lam-component,
+so saturation wrote the edge gh, or merged the path's ends when gh = 1.
+
+1. The vertices map one-to-one to right cosets of H.  Let normal-form
+   paths x c and y c, with c their longest common suffix, reach vertices
+   u and v of one coset, x reaching u' and y reaching v'.  Then x y^-1
+   lies in H.
+   If x and y do not both end in lam, x y^-1 is a normal form, so it
+   traces back to the base and u' = v'.  If they end in lam-syllables
+   g != h, then x = a g and y = b h, and the normal form a (g h^-1) b^-1
+   traces through a lam-edge from a's vertex to b's: u' and v' meet in
+   that lam-component with equal coset labels, which saturation merges.
+   Either way u' = v', and c leads from there to u = v.
+2. The vertices are exactly the cosets H p, for p a prefix of the normal
+   form of an element of H.  The builder creates each vertex on the cycle
+   of a generator, where a prefix of the generator reaches it, and merging
+   keeps one vertex of each merged pair; and every element of H traces,
+   its prefixes reaching vertices.
+3. The edges are exactly the (u, g, v) with H p_u g = H p_v: an edge
+   u -g-> v makes p_u g read a path to v.  Conversely let the normal
+   forms p_u = a x and p_v = b y reach u and v, with x, y in G_lam
+   (possibly 1) and a, b not ending in lam.  Then a (x g y^-1) b^-1 lies
+   in H.  When x g y^-1 != 1 it is a normal form, so it traces through a
+   lam-edge from a's vertex to b's; otherwise a and b reach vertices of
+   one coset, equal by 1.  Either way u and v lie in one lam-component
+   with coset labels a_u g = a_v (over its stabilizer), and saturation
+   writes every edge between the present cosets of a component.
+4. The core is thus the based labelled graph that H alone determines, and
+   ``_read_out`` numbers it breadth-first from the base, each row in
+   (lam, g) order, so equal subgroups give equal ``CoreGraph``s.
+
+A word that is not a normal form may add vertices that no element of H
+reaches: the core of ((0, g), (0, g^-1)) has two vertices, that of no
+generator one.
 """
 
 from __future__ import annotations

@@ -61,11 +61,17 @@ one core and Kurosh decomposition per factor, the beta'/g correction of
 each piece, and the first candidate that passes C1-C7.
 ``dumps_system_hash`` is ``system_hash`` before it wrote the JSON itself:
 the SHA-256 of ``json.dumps`` of the system's description.
+``small_index_subgroups`` lists every subgroup of a given finite index as
+a point stabilizer of ``transitive_actions``, which runs over every action
+of each factor on the points (one per isomorphism class for the first
+factor), with no coset enumeration; the tests check its counts against
+sympy's ``low_index_subgroups``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, replace
@@ -983,7 +989,7 @@ def _gated_assemble(
         factors=tuple(factor_certs),
         tree_transversal=tree.transversal,
     )
-    report = check_certificate(sys, graph, cert, gens)
+    report = check_certificate(sys, graph, cert)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")
         raise CertificateRejected(f"failed {failed}")
@@ -1061,8 +1067,151 @@ def _higgins_assemble(
         for lam in range(k)
     )
     cert = ConjectureCertificate(system_hash="", factors=factors, tree_transversal=tree.transversal)
-    report = check_certificate(sys, graph, cert, gens)
+    report = check_certificate(sys, graph, cert)
     if not report.verdict:
         failed = ", ".join(c.name for c in report.checks if c.status == "fail")
         raise CertificateRejected(f"failed {failed}")
     return cert, report
+
+
+class SmallIndexSubgroup(NamedTuple):
+    """A subgroup H of finite index n, found by ``small_index_subgroups``.
+
+    ``moves[(lam, g)]`` is the right action of g on the n cosets of H,
+    numbered breadth-first from H = 0 with the moves taken in (lam, g)
+    order, and ``table`` the same action as rows, one per coset; ``gens``
+    are H's Schreier generators over that breadth-first tree, in normal
+    form; ``class_key`` is the least table of a conjugate of H, so
+    conjugate subgroups share it."""
+
+    table: tuple[tuple[int, ...], ...]
+    moves: dict
+    gens: tuple[Word, ...]
+    class_key: tuple[tuple[int, ...], ...]
+
+
+def _all_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
+    """Every subgroup, each closed from a smaller one and one more element."""
+    found = {frozenset([0])}
+    frontier = list(found)
+    while frontier:
+        sub = frontier.pop()
+        for g in range(group.order):
+            if g not in sub:
+                bigger = frontier_subgroup_closure(group, sub | {g})
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    return found
+
+
+def _coset_action(group: FiniteGroup, sub: frozenset[int]) -> list[tuple[int, ...]]:
+    """``act[g][i]``: g's right action on the right cosets of ``sub``,
+    numbered by their least elements."""
+    cosets = sorted({frozenset(group.mul[s][x] for s in sub) for x in range(group.order)}, key=min)
+    where = {y: i for i, coset in enumerate(cosets) for y in coset}
+    return [tuple(where[group.mul[min(coset)][g]] for coset in cosets) for g in range(group.order)]
+
+
+def group_sets(group: FiniteGroup, n: int) -> list[list[tuple[int, ...]]]:
+    """One action of ``group`` on n points per isomorphism class: each is a
+    disjoint union of coset actions, one orbit per point stabilizer taken up
+    to conjugacy, the orbit types in nondecreasing order."""
+    classes = {subgroup_conjugacy_key(group, sub): sub for sub in _all_subgroups(group)}
+    orbits = [_coset_action(group, classes[key]) for key in sorted(classes)]
+    out = []
+
+    def extend(start: int, chosen: list, size: int) -> None:
+        if size == n:
+            act = [sum((tuple(offset + i for i in orbit[g]) for orbit, offset in chosen), ()) for g in range(group.order)]
+            out.append(act)
+            return
+        for t in range(start, len(orbits)):
+            if size + len(orbits[t][0]) <= n:
+                extend(t, chosen + [(orbits[t], size)], size + len(orbits[t][0]))
+
+    extend(0, [], 0)
+    return out
+
+
+def labelled_group_sets(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every action of ``group`` on the points 0..n-1: each of
+    ``group_sets`` under every relabelling of the points, without repeats."""
+    seen: dict = {}
+    for act in group_sets(group, n):
+        for pi in itertools.permutations(range(n)):
+            relabelled = []
+            for row in act:
+                new = [0] * n
+                for p in range(n):
+                    new[pi[p]] = pi[row[p]]
+                relabelled.append(tuple(new))
+            seen.setdefault(tuple(relabelled))
+    return list(seen)
+
+
+def transitive_actions(sys: FactorSystem, n: int):
+    """Every transitive right action of G = G_0 * G_1 * ... on n points, up
+    to relabelling the points, each at least once: G_0 acts by one action
+    per isomorphism class (``group_sets``) and every other factor by every
+    action (``labelled_group_sets``), which meets every relabelling class.
+    Yields ``{(lam, g): image of each point}`` for the nonidentity g, in
+    (lam, g) order."""
+    factors = sys.factors_g
+    choices = [group_sets(factors[0], n)] + [labelled_group_sets(group, n) for group in factors[1:]]
+    for acts in itertools.product(*choices):
+        moves = {(lam, g): act[g] for lam, act in enumerate(acts) for g in range(1, factors[lam].order)}
+        reached = {0}
+        queue = [0]
+        for p in queue:  # grows while the walk discovers points
+            for perm in moves.values():
+                if perm[p] not in reached:
+                    reached.add(perm[p])
+                    queue.append(perm[p])
+        if len(reached) == n:
+            yield moves
+
+
+def based_coset_table(moves: dict, base: int) -> tuple[tuple[int, ...], ...]:
+    """The action renumbered breadth-first from ``base``, as one row of
+    targets per point."""
+    number = {base: 0}
+    order = [base]
+    for p in order:  # grows while the walk discovers points
+        for perm in moves.values():
+            if perm[p] not in number:
+                number[perm[p]] = len(order)
+                order.append(perm[p])
+    return tuple(tuple(number[perm[p]] for perm in moves.values()) for p in order)
+
+
+def small_index_subgroups(sys: FactorSystem, n: int) -> list[SmallIndexSubgroup]:
+    """Every subgroup of index n of G, once each: the point stabilizers of
+    ``transitive_actions``, told apart by their coset tables numbered from
+    the point (two stabilizers are equal exactly when their based actions
+    are isomorphic)."""
+    found: dict = {}
+    for moves in transitive_actions(sys, n):
+        tables = [based_coset_table(moves, p) for p in range(n)]
+        class_key = min(tables)
+        for table in tables:
+            found.setdefault(table, class_key)
+    syllables = [(lam, g) for lam, group in enumerate(sys.factors_g) for g in range(1, group.order)]
+    out = []
+    for table, class_key in found.items():
+        moves = {syl: tuple(row[k] for row in table) for k, syl in enumerate(syllables)}
+        word = {0: EMPTY}
+        order = [0]
+        for u in order:  # grows while the walk discovers points
+            for syl, perm in moves.items():
+                if perm[u] not in word:
+                    word[perm[u]] = multiply(sys, "G", word[u], (syl,))
+                    order.append(perm[u])
+        gens: dict = {}
+        for u in order:
+            for syl, perm in moves.items():
+                s = multiply(sys, "G", multiply(sys, "G", word[u], (syl,)), invert(sys, "G", word[perm[u]]))
+                if s:
+                    gens.setdefault(s)
+        out.append(SmallIndexSubgroup(table, moves, tuple(gens), class_key))
+    return out

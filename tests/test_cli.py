@@ -501,8 +501,14 @@ def _read_argv(tmp_path, role: str, path: str) -> list[str]:
         (MALFORMED, "Expecting value: line 3 column 22 (char 52)"),
         (MALFORMED.replace(b"\n", b"\r\n"), "Expecting value: line 3 column 22 (char 52)"),
         (MALFORMED.replace(b"\n", b"\r"), "Expecting value: line 3 column 22 (char 52)"),
+        # json raises a plain ValueError for an integer past the digit limit
+        (
+            b'{"factors": [{"lam": ' + b"1" * 5000 + b"}]}",
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
     ],
-    ids=["missing", "directory", "bom", "lf", "crlf", "cr"],
+    ids=["missing", "directory", "bom", "lf", "crlf", "cr", "huge-int"],
 )
 def test_unreadable_input_names_its_path(tmp_path, capsys, role, content, message):
     path = tmp_path / "input.json"

@@ -20,17 +20,31 @@ from freedecomp.conjecture import (
     check_h_theta_surjective,
     decompose_and_check,
 )
-from freedecomp.fingroup import cyclic, validate_group
+from freedecomp.fingroup import cyclic, sym, validate_group
 from freedecomp.freeprod import EMPTY, invert, make_system, parse_word
 from freedecomp.higgins import TreeBoundExceeded
+from freedecomp.verify import _claimed_gens
 
-from conftest import S3, TRIV, Z2, eight_shape_family, sign_map_s3, six_shape_family, z2z3_point_stabilizer
+from conftest import (
+    S3,
+    TRIV,
+    Z2,
+    Z3,
+    _maps_onto_b,
+    eight_shape_family,
+    pairing_map,
+    sign_map_s3,
+    six_shape_family,
+    z2z3_point_stabilizer,
+)
 from naive_enum import (
     BetaImageNotInFactor,
     CrossFactorPieceNontrivial,
+    based_coset_table,
     dumps_system_hash,
     gated_decompose_and_check,
     higgins_decompose_and_check,
+    small_index_subgroups,
 )
 
 
@@ -388,3 +402,51 @@ def test_smallest_single_move_stall_decomposes(eight_shapes):
     assert shape == "S3*S3" and build_core(system, gens).vertex_count == 5
     cert, report, _ = decompose_and_check(system, gens)
     assert report.verdict and verify_certificate(system, gens, cert).verdict
+
+
+def _s4_shape(k1):
+    """S4 * k1 onto S3 * k1, S4 by ``pairing_map`` and k1 by the identity."""
+    return make_system([sym(4), k1], [S3, k1], [pairing_map(), list(range(k1.order))])
+
+
+# sympy presentations of the same groups: S4 = <a, b | a^2, b^3, (ab)^4>
+SYMPY_SHAPES = {"S4*Z2": (Z2, 2), "S4*Z3": (Z3, 3)}
+
+
+@pytest.mark.parametrize("shape", sorted(SYMPY_SHAPES))
+def test_small_index_enumerator_matches_sympy(shape):
+    # per index n <= 5: as many conjugacy classes as sympy's
+    # low_index_subgroups finds, and as many subgroups as its coset tables
+    # have distinct base points
+    from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
+    from sympy.combinatorics.free_groups import free_group
+
+    k1, order = SYMPY_SHAPES[shape]
+    free, a, b, c = free_group("a b c")
+    tables = [t.table for t in low_index_subgroups(FpGroup(free, [a**2, b**3, (a * b) ** 4, c**order]), 5)]
+    system = _s4_shape(k1)
+    for n in range(1, 6):
+        ours = small_index_subgroups(system, n)
+        theirs = [dict(enumerate(zip(*table))) for table in tables if len(table) == n]
+        assert len({sub.class_key for sub in ours}) == len(theirs), n
+        assert len(ours) == sum(len({based_coset_table(moves, p) for p in range(n)}) for moves in theirs), n
+
+
+# onto subgroups per index 1..6; index 1 is G itself
+ONTO_SMALL_INDEX = {"S4*Z2": (1, 0, 0, 40, 80, 576), "S4*Z3": (1, 0, 0, 36, 60, 792)}
+
+
+@pytest.mark.parametrize("shape", sorted(ONTO_SMALL_INDEX))
+def test_every_onto_subgroup_of_small_index_decomposes(shape):
+    # every subgroup of index <= 6 that maps onto B decomposes and
+    # verifies, and its claimed words build H's core
+    system = _s4_shape(SYMPY_SHAPES[shape][0])
+    onto = []
+    for n in range(1, 7):
+        subgroups = [sub for sub in small_index_subgroups(system, n) if _maps_onto_b(system, sub.moves, n)]
+        onto.append(len(subgroups))
+        for sub in subgroups:
+            cert, report, graph = decompose_and_check(system, sub.gens)
+            assert report.verdict and verify_certificate(system, sub.gens, cert).verdict, sub.table
+            assert build_core(system, [x for fc in cert.factors for x in _claimed_gens(fc)]) == graph
+    assert tuple(onto) == ONTO_SMALL_INDEX[shape]

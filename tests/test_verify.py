@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from freedecomp.conjecture import canonical_generators, check_h_theta_surjective
 from freedecomp.covgraph import lambda_components, trace
 from freedecomp.freeprod import EMPTY, invert, is_normal_form, normalize, parse_word, theta_word
 from freedecomp.higgins import build_theta_tree
-from freedecomp.verify import MalformedCertificate, check_certificate
+from freedecomp.verify import MalformedCertificate, _claimed_gens, check_certificate
 
 from conftest import S3, TRIV, Z2, enumerate_ball, z2z3_point_stabilizer
 from naive_enum import (
@@ -147,7 +148,7 @@ def test_check_certificate_runs_on_the_core(corpus):
         if graph.vertex_count < inst.graph.vertex_count:
             smaller += 1
             assert not graph.complete and report.verdict
-            assert check_certificate(inst.system, graph, cert, inst.gens).verdict
+            assert check_certificate(inst.system, graph, cert).verdict
             assert verify_certificate(inst.system, inst.gens, cert).verdict
     assert smaller == 20
 
@@ -252,12 +253,55 @@ def test_cross_factor_basis_move_fails_c2(n, seed):
     assert "factor 1: generator image leaves B_1" in report.checks[1].details
 
 
+def _nielsen_variant(sys, gens, rnd):
+    """Another generating tuple of the same subgroup: six random Nielsen
+    moves, a redundant product, a duplicate, then a shuffle."""
+    gens = list(gens)
+    for _ in range(6 if len(gens) > 1 else 0):
+        i, j = rnd.sample(range(len(gens)), 2)
+        u = gens[j] if rnd.random() < 0.5 else invert(sys, "G", gens[j])
+        gens[i] = multiply(sys, "G", u, gens[i]) if rnd.random() < 0.5 else multiply(sys, "G", gens[i], u)
+        if rnd.random() < 0.3:
+            gens[i] = invert(sys, "G", gens[i])
+    if gens:
+        gens.append(multiply(sys, "G", rnd.choice(gens), invert(sys, "G", rnd.choice(gens))))
+        gens.append(rnd.choice(gens))
+    rnd.shuffle(gens)
+    return gens
+
+
+def test_core_depends_only_on_the_subgroup(corpus, growth, partial_family, eight_shapes):
+    # the covgraph module docstring's invariance, which C5 and decompose
+    # rest on: generating tuples of one subgroup build equal cores, the
+    # claimed words of a certificate build H's core, and decompose writes
+    # the same certificate from either tuple
+    rnd = random.Random(20250810)
+    cases = [(inst.system, inst.gens) for inst in corpus]
+    cases += [(sub.system, sub.gens) for sub in partial_family]
+    cases += [(system, gens) for _, system, gens in growth + eight_shapes[1]]
+    cases += [(ps.system, ps.gens) for ps in map(z2z3_point_stabilizer, (12, 60, 300))]
+    certified = 0
+    for sys, gens in cases:
+        graph = build_core(sys, gens)
+        variants = [_nielsen_variant(sys, gens, rnd) for _ in range(2)]
+        for variant in variants:
+            assert build_core(sys, variant) == graph, (gens, variant)
+        try:
+            cert, _, _ = decompose_and_check(sys, gens)
+        except (ThetaNotSurjectiveOntoB, CertificateRejected):
+            continue
+        certified += 1
+        assert build_core(sys, [x for fc in cert.factors for x in _claimed_gens(fc)]) == graph
+        assert decompose_and_check(sys, variants[0])[0] == cert
+    assert certified == 503
+
+
 @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (7, 1)])
-def test_c5_decides_by_mutual_membership(monkeypatch, n, seed):
+def test_c5_decides_by_core_equality(monkeypatch, n, seed):
     # A certificate missing one free-basis word, or one vertex group,
     # generates a subgroup K < H of infinite index: its words lie in H, but
-    # H's generators do not all trace to the base of K's core.  A word
-    # outside H fails the other direction.  Neither completes a graph.
+    # K's core is not H's.  A word outside H is named as such.  Neither
+    # completes a graph.
     ps = z2z3_point_stabilizer(n, seed)
     cert, _, graph = decompose_and_check(ps.system, ps.gens)
     forgeries = {}
@@ -276,13 +320,13 @@ def test_c5_decides_by_mutual_membership(monkeypatch, n, seed):
     monkeypatch.setattr(covgraph, "complete_graph", no_completion)
     for label, bad_fc in forgeries.items():
         factors = tuple(bad_fc if fc.lam == bad_fc.lam else fc for fc in cert.factors)
-        report = check_certificate(ps.system, graph, dataclasses.replace(cert, factors=factors), ps.gens)
+        report = check_certificate(ps.system, graph, dataclasses.replace(cert, factors=factors))
         c5 = report.checks[4]
         assert c5.name.startswith("C5 ") and c5.status == "fail", label
         if label == "word outside H":
             assert c5.details == "1 certificate words are outside the subgroup"
         else:
-            assert c5.details.endswith("subgroup generators are outside the certificate's subgroup"), label
+            assert c5.details == "the certificate's words generate a proper subgroup of H", label
 
 
 def _valid_certificates(corpus):
