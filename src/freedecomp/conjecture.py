@@ -68,22 +68,25 @@ theta(H) = B, so the retraction of B onto B_lam shows that those of H_lam
 generate B_lam (C2).  The basis generates H (C5) and has as many free
 words as H's free rank (C7).
 
-Completeness of this greedy reduction is not proven: an element of
-positive cost whose key no move lowers stays positive, its piece is left
-uncorrected or its free word left in the factor of its edge, and the
-certificate fails C1 or C2, which raises CertificateRejected.  Classical
-Nielsen reduction in free products breaks ties the same way, by length
-and an order on the words (the Grushko-Neumann theorem; Lyndon-Schupp,
-Combinatorial Group Theory, ch. IV, section 1), but no proof is written
-for these moves.  No onto system is known on which the reduction stalls:
-every onto system of the seeded corpus and of the six-shape, growth and
-partial-action families the tests draw, and all 4,800 systems of
+This greedy reduction is not complete: an element of positive cost whose
+key no move lowers stays positive, its piece is left uncorrected or its
+free word left in the factor of its edge, and the certificate fails C1 or
+C2, which raises CertificateRejected.  Classical Nielsen reduction in free
+products breaks ties the same way, by length and an order on the words
+(the Grushko-Neumann theorem; Lyndon-Schupp, Combinatorial Group Theory,
+ch. IV, section 1), but these moves do not suffice; for one, a piece is
+never conjugated by a word that uses the piece itself.  The reduction stalls on
+19 of the 29,792 subgroups of index 7 of S3*S3 that map onto S3*Z2
+(identity, sign), in 14 conjugacy classes, and on 250 of the 54,432 of
+index 9 of S4*Z2 onto S3*Z2, in 106; the tests pin the 19 coset tables
+and expect each to fail C1 and C2.  Every other onto system the tests
+draw decomposes and verifies: the seeded corpus and the six-shape,
+growth and partial-action families, all 4,800 systems of
 eight_shape_family(seed, 25, 24) for seeds 1-4 and
-eight_shape_family(seed, 25, 40) for seeds 5-24, decomposes and verifies.
-The tests run the first 800 eight-shape systems and the 13 of the other
-4,000 on which products of units alone stalled, and every onto subgroup
-of index at most 6 of S4*Z2 onto S3*Z2 and of S4*Z3 onto S3*Z3 (697 and
-889 subgroups, listed exhaustively).
+eight_shape_family(seed, 25, 40) for seeds 5-24 (the tests run the first
+800 and the 13 of the other 4,000 on which products of units alone
+stalled), and every onto subgroup of index at most 6 of S4*Z2 onto S3*Z2
+and of S4*Z3 onto S3*Z3 (697 and 889 subgroups, listed exhaustively).
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ from .covgraph import CoreGraph, build_core
 from .fingroup import solve_preimage
 from .freeprod import FactorSystem, Word, invert, multiply, syllable_word, theta_word
 from .kurosh import KuroshDecomposition, kurosh_decompose
-from .verify import VerificationReport, check_certificate
+from .verify import VerificationReport, _normal_gens, check_certificate
 
 
 class ThetaNotSurjectiveOntoB(RuntimeError):
@@ -201,8 +204,10 @@ def decompose_and_check(
     sys: FactorSystem, h_gens
 ) -> tuple[ConjectureCertificate, VerificationReport, CoreGraph]:
     """``conjecture_decompose`` plus the passing report of checks C1-C7 and
-    the core of H they ran on."""
-    gens = tuple(h_gens)  # as given: H's core depends only on H (covgraph)
+    the core of H they ran on.  A generator that is not in normal form is
+    normalized first, as ``verify_certificate`` does; an out-of-range
+    syllable raises ``normalize``'s ValueError."""
+    gens = _normal_gens(sys, h_gens)  # H's core depends only on H (covgraph)
     graph = build_core(sys, gens)
     cert = _assemble(sys, *_reduce(sys, kurosh_decompose(sys, graph)))
     report = check_certificate(sys, graph, cert)

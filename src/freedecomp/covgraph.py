@@ -89,6 +89,9 @@ so saturation wrote the edge gh, or merged the path's ends when gh = 1.
    ``_read_out`` numbers it breadth-first from the base, each row in
    (lam, g) order, so equal subgroups give equal ``CoreGraph``s.
 
+The proof fixes no order of merges or saturation jobs, so the builder fixes
+none.
+
 A word that is not a normal form may add vertices that no element of H
 reaches: the core of ((0, g), (0, g^-1)) has two vertices, that of no
 generator one.
@@ -97,9 +100,7 @@ generator one.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .fingroup import subgroup_closure
 from .freeprod import FactorSystem, Word
@@ -189,19 +190,17 @@ class LambdaForest:
 class _Builder:
     """Mutable graph under construction: union-find plus adjacency dicts.
 
-    Saturation jobs are the ``(lam, v)`` pairs in ``dirty`` and run smallest
-    first.  ``heap`` holds every key of ``dirty`` (plus stale entries that
-    ``stabilize`` skips), so picking the next job costs a logarithm rather
-    than a scan of ``dirty``.
+    ``pending`` holds the vertex pairs to merge and ``dirty`` the saturation
+    jobs, ``(lam, v)`` for the lam-component of v.  Both are taken in any
+    order: the core depends only on the subgroup (module docstring).
     """
 
     def __init__(self, sys: FactorSystem):
         self.groups = sys.factors_g
         self.parent: list[int] = []
         self.adj: list[dict] = []
-        self.pending: deque = deque()
+        self.pending: list = []
         self.dirty: set = set()
-        self.heap: list = []
         self.live = 0
         self.new_vertex()  # base
 
@@ -227,7 +226,6 @@ class _Builder:
             self.adj[u][key] = v
             return True
         w = self.find(w)
-        self.adj[u][key] = min(v, w)
         if w != v:
             self.pending.append((v, w))
             return True
@@ -239,20 +237,13 @@ class _Builder:
         changed = self._set(u, (lam, g), v)
         changed |= self._set(v, (lam, ginv), u)
         if changed:
-            dirty = self.dirty
-            job = (lam, u)
-            if job not in dirty:
-                dirty.add(job)
-                heappush(self.heap, job)
-            job = (lam, v)
-            if job not in dirty:
-                dirty.add(job)
-                heappush(self.heap, job)
+            self.dirty.add((lam, u))
+            self.dirty.add((lam, v))
         return changed
 
     def _process_pending(self) -> None:
         while self.pending:
-            a, b = self.pending.popleft()
+            a, b = self.pending.pop()
             a, b = self.find(a), self.find(b)
             if a == b:
                 continue
@@ -261,13 +252,9 @@ class _Builder:
             self.live -= 1
             absorbed = self.adj[drop]
             self.adj[drop] = {}
-            for (lam, g), w in sorted(absorbed.items()):
+            for (lam, g), w in absorbed.items():
                 self.add_edge(keep, lam, g, self.find(w))
-            for lam in range(len(self.groups)):
-                job = (lam, keep)
-                if job not in self.dirty:
-                    self.dirty.add(job)
-                    heappush(self.heap, job)
+            self.dirty.update((lam, keep) for lam in range(len(self.groups)))
 
     def _saturate(self, lam: int, root: int) -> None:
         group = self.groups[lam]
@@ -309,18 +296,13 @@ class _Builder:
             coset = range(group.order)  # trivial stabilizer: each element is its own coset
         at = {coset[label[u]]: u for u in comp}
         if len(at) < len(comp):
-            # merge vertices whose cosets coincide, buckets in coset order
-            buckets: dict = {}
+            # merge vertices whose cosets coincide; each merge marks its
+            # survivor dirty, and the survivor lies in this component
             for u in comp:
-                buckets.setdefault(coset[label[u]], []).append(u)
-            for key in sorted(buckets):
-                group_vs = buckets[key]
-                if len(group_vs) > 1:
-                    first = min(group_vs)
-                    for other in group_vs:
-                        if other != first:
-                            self.pending.append((first, other))
-            return  # refold first; the component stays dirty
+                v = at[coset[label[u]]]
+                if v != u:
+                    self.pending.append((v, u))
+            return
         # write every empty slot whose target coset is present: the cosets are
         # distinct and present edges agree with the labels, so a set reverse
         # slot points back at u, and an empty one is written at the other end
@@ -335,19 +317,14 @@ class _Builder:
             dirty.discard((lam, u))
 
     def stabilize(self) -> None:
-        dirty, heap = self.dirty, self.heap
+        dirty = self.dirty
         while True:
             self._process_pending()
             if not dirty:
                 return
-            while heap[0] not in dirty:
-                heappop(heap)
-            # the top stays on the heap: _saturate may leave it dirty
-            lam, v = heap[0]
-            if self.find(v) != v:
-                dirty.discard((lam, v))
-                continue
-            self._saturate(lam, v)
+            lam, v = dirty.pop()
+            if self.find(v) == v:
+                self._saturate(lam, v)
 
     def add_generator_cycle(self, word: Word) -> None:
         """Close ``word`` into a loop at the base, scanning from both ends.

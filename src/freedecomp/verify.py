@@ -83,7 +83,7 @@ from typing import TYPE_CHECKING
 
 from .covgraph import CoreGraph, LambdaForest, build_core, lambda_forest, membership, trace
 from .fingroup import subgroup_closure
-from .freeprod import EMPTY, FactorSystem, invert, is_normal_form, theta_word
+from .freeprod import EMPTY, FactorSystem, invert, is_normal_form, normalize, theta_word
 
 if TYPE_CHECKING:  # pragma: no cover
     from .conjecture import ConjectureCertificate
@@ -138,6 +138,11 @@ def _claimed_gens(fc) -> list:
     return [x for vg in fc.vertex_groups for x in vg] + list(fc.f_basis)
 
 
+def _normal_gens(sys: FactorSystem, h_gens) -> tuple:
+    """H's generators in normal form, normalizing only those that are not."""
+    return tuple(w if is_normal_form(sys, "G", w) else normalize(sys, "G", w) for w in h_gens)
+
+
 def verify_certificate(
     sys: FactorSystem,
     h_gens,
@@ -148,14 +153,15 @@ def verify_certificate(
     seed: int = 0,
 ) -> VerificationReport:
     """Validate the certificate's shape, rebuild H's core from ``h_gens``
-    (normal-form words, as ``parse_word`` returns them) independently, and
-    run checks C1-C7 against it.
+    independently, and run checks C1-C7 against it.  A generator that is
+    not in normal form is normalized first, so its core is H's; an
+    out-of-range syllable raises ``normalize``'s ValueError.
 
     ``max_cosets``, ``free_test_len`` and ``seed`` are ignored; the
     benchmark harness still passes them.
     """
     _structural_validation(sys, cert)
-    return check_certificate(sys, build_core(sys, h_gens), cert)
+    return check_certificate(sys, build_core(sys, _normal_gens(sys, h_gens)), cert)
 
 
 def check_certificate(sys: FactorSystem, graph: CoreGraph, cert: "ConjectureCertificate") -> VerificationReport:

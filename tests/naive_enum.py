@@ -15,10 +15,12 @@ of a factor on the cosets without ``lambda_components``, and
 ``membership``, the verifier's C4 and C3 before they read the
 lam-components.  ``LinearScanBuilder`` is the
 graph builder with its original job choice, a linear scan for the
-smallest dirty job.  ``WedgeBuilder`` is the builder
-with its original seeding, one new vertex per syllable of every generator
-(a wedge of cycles at the base), which the two-ended scan of
-``_Builder.add_generator_cycle`` must fold to the same graph.
+smallest dirty job, and ``RandomOrderBuilder`` takes merges and jobs in a
+seeded random order; the core must not depend on either.
+``WedgeBuilder`` is the builder with its original seeding, one new
+vertex per syllable of every generator (a wedge of cycles at the base),
+which the two-ended scan of ``_Builder.add_generator_cycle`` must fold to
+the same graph.
 ``TwoPassSaturateBuilder`` is the builder with its original saturation,
 a breadth-first labelling of the component followed by a second pass
 over every edge of every factor to collect the stabilizer generators,
@@ -65,7 +67,8 @@ the SHA-256 of ``json.dumps`` of the system's description.
 a point stabilizer of ``transitive_actions``, which runs over every action
 of each factor on the points (one per isomorphism class for the first
 factor), with no coset enumeration; the tests check its counts against
-sympy's ``low_index_subgroups``.
+sympy's ``low_index_subgroups``.  ``schreier_generators`` reads a subgroup's
+generators off its coset table, for it and for tables pinned as data.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -694,19 +698,41 @@ def bounded_theta_tree(
 
 
 class LinearScanBuilder(covgraph._Builder):
-    """The builder picking each saturation job by ``min(self.dirty)``, the
-    order the heap in ``_Builder.stabilize`` must reproduce."""
+    """The builder taking each saturation job smallest first, by
+    ``min(self.dirty)``."""
 
     def stabilize(self) -> None:
         while True:
             self._process_pending()
             if not self.dirty:
                 return
-            lam, v = min(self.dirty)
-            if self.find(v) != v:
-                self.dirty.discard((lam, v))
-                continue
-            self._saturate(lam, v)
+            lam, v = job = min(self.dirty)
+            self.dirty.discard(job)
+            if self.find(v) == v:
+                self._saturate(lam, v)
+
+
+class RandomOrderBuilder(covgraph._Builder):
+    """The builder shuffling its pending merges and drawing each saturation
+    job at random, from a ``random.Random(seed)`` per builder; set ``seed``
+    on the class."""
+
+    seed = 0
+
+    def __init__(self, sys: FactorSystem):
+        super().__init__(sys)
+        self.rng = random.Random(self.seed)
+
+    def stabilize(self) -> None:
+        while True:
+            self.rng.shuffle(self.pending)
+            self._process_pending()
+            if not self.dirty:
+                return
+            lam, v = job = self.rng.choice(sorted(self.dirty))
+            self.dirty.discard(job)
+            if self.find(v) == v:
+                self._saturate(lam, v)
 
 
 class WedgeBuilder(covgraph._Builder):
@@ -1196,22 +1222,29 @@ def small_index_subgroups(sys: FactorSystem, n: int) -> list[SmallIndexSubgroup]
         class_key = min(tables)
         for table in tables:
             found.setdefault(table, class_key)
+    return [
+        SmallIndexSubgroup(table, *schreier_generators(sys, table), class_key) for table, class_key in found.items()
+    ]
+
+
+def schreier_generators(sys: FactorSystem, table) -> tuple[dict, tuple[Word, ...]]:
+    """The action of a coset table (one row per coset, its targets in
+    (lam, g) order, coset 0 the subgroup H) as ``{(lam, g): targets}``, and
+    H's Schreier generators over the breadth-first tree from coset 0, in
+    normal form."""
     syllables = [(lam, g) for lam, group in enumerate(sys.factors_g) for g in range(1, group.order)]
-    out = []
-    for table, class_key in found.items():
-        moves = {syl: tuple(row[k] for row in table) for k, syl in enumerate(syllables)}
-        word = {0: EMPTY}
-        order = [0]
-        for u in order:  # grows while the walk discovers points
-            for syl, perm in moves.items():
-                if perm[u] not in word:
-                    word[perm[u]] = multiply(sys, "G", word[u], (syl,))
-                    order.append(perm[u])
-        gens: dict = {}
-        for u in order:
-            for syl, perm in moves.items():
-                s = multiply(sys, "G", multiply(sys, "G", word[u], (syl,)), invert(sys, "G", word[perm[u]]))
-                if s:
-                    gens.setdefault(s)
-        out.append(SmallIndexSubgroup(table, moves, tuple(gens), class_key))
-    return out
+    moves = {syl: tuple(row[k] for row in table) for k, syl in enumerate(syllables)}
+    word = {0: EMPTY}
+    order = [0]
+    for u in order:  # grows while the walk discovers points
+        for syl, perm in moves.items():
+            if perm[u] not in word:
+                word[perm[u]] = multiply(sys, "G", word[u], (syl,))
+                order.append(perm[u])
+    gens: dict = {}
+    for u in order:
+        for syl, perm in moves.items():
+            s = multiply(sys, "G", multiply(sys, "G", word[u], (syl,)), invert(sys, "G", word[perm[u]]))
+            if s:
+                gens.setdefault(s)
+    return moves, tuple(gens)

@@ -44,6 +44,7 @@ from naive_enum import (
     dumps_system_hash,
     gated_decompose_and_check,
     higgins_decompose_and_check,
+    schreier_generators,
     small_index_subgroups,
 )
 
@@ -450,3 +451,75 @@ def test_every_onto_subgroup_of_small_index_decomposes(shape):
             assert report.verdict and verify_certificate(system, sub.gens, cert).verdict, sub.table
             assert build_core(system, [x for fc in cert.factors for x in _claimed_gens(fc)]) == graph
     assert tuple(onto) == ONTO_SMALL_INDEX[shape]
+
+
+# the 19 subgroups of index 7 of S3*S3 onto S3*Z2 (id, sign), in 14
+# conjugacy classes, on which the reduction stalls: 19 of the 29,792 onto
+# subgroups that small_index_subgroups lists among all 30,527 (about 50 s,
+# too slow for the test suite); each is a based coset table, one digit
+# string per coset with its targets in (lam, g) order
+KNOWN_STALLS = (
+    "0000011001 2132300110 1313222222 3221134455 5465653534 4646545343 6554466666",
+    "0000011001 2132300110 1313222222 3221143545 5465635354 4646554433 6554466666",
+    "0000011001 2323100110 1231334342 3112223424 5544542233 4455466556 6666655665",
+    "0000011001 2211200110 1122123344 5345442423 4553334232 3434566556 6666655665",
+    "0000011001 2323100110 1231343432 3112232244 5544524323 4455466556 6666655665",
+    "0000011001 2211200110 1122132434 5345424243 4553343322 3434566556 6666655665",
+    "0000011001 2323100110 1231332434 3112224243 5544543322 4455466556 6666655665",
+    "0000011001 2323100110 1231323344 3112242423 5544534232 4455466556 6666655665",
+    "0000011001 2323100110 1231342343 3112234422 5544523234 4455466556 6666655665",
+    "0000011001 2323100110 1231324433 3112243242 5544532324 4455466556 6666655665",
+    "1100122002 0011033113 4545200220 6633611331 2452556564 5224445646 3366364455",
+    "1100122002 0011033113 4422400220 5656311331 2244245566 3563664645 6335556454",
+    "1100122002 0011033113 4545200220 6633611331 2452565654 5224454466 3366346545",
+    "1100122002 0011033113 4422400220 5656311331 2244254656 3563646465 6335565544",
+    "1100122002 0011033113 4545200220 6633611331 2452554656 5224446465 3366365544",
+    "1100122002 0011033113 4545200220 6633611331 2452545566 5224464645 3366356454",
+    "1100122002 0011033113 4545200220 6633611331 2452564565 5224456644 3366345456",
+    "1100122002 0011033113 4422400220 5656311331 2244256564 3563645646 6335564455",
+    "1100122002 0011033113 4545200220 6633611331 2452546655 5224465464 3366354546",
+)
+
+
+def test_known_stalls_map_onto_b_and_are_rejected():
+    # the reduction is not complete (conjecture docstring): each of these
+    # maps onto B, so the paper's theorem gives it a decomposition, yet its
+    # certificate fails C1 and C2.  Making the reduction complete (ROADMAP
+    # item 1) must flip this test: each must then decompose and verify.
+    system = make_system([S3, S3], [S3, Z2], [list(range(6)), sign_map_s3()])
+    classes = set()
+    for text in KNOWN_STALLS:
+        table = tuple(tuple(map(int, row)) for row in text.split())
+        moves, gens = schreier_generators(system, table)
+        assert based_coset_table(moves, 0) == table
+        classes.add(min(based_coset_table(moves, p) for p in range(7)))
+        check_h_theta_surjective(system, gens)
+        with pytest.raises(CertificateRejected) as rejected:
+            decompose_and_check(system, gens)
+        assert str(rejected.value) == "failed C1 image-trivial representatives, C2 factor image generation"
+    assert len(set(KNOWN_STALLS)) == 19 and len(classes) == 14
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[((0, 1),), ((1, 1), (1, 2))], [((0, 0), (0, 1))], [((0, 1), (0, 1), (0, 1))]],
+    ids=["identity-word", "identity-syllable", "same-factor-syllables"],
+)
+def test_generators_not_in_normal_form_are_normalized(gens):
+    # H = <a> in Z2*Z3 onto Z2*1: the library normalizes a generator that is
+    # not in normal form, as parse_word does on the command line, so it
+    # builds H's core and gives H's certificate
+    system = make_system([Z2, Z3], [Z2, TRIV], [[0, 1], [0, 0, 0]])
+    expected, _, core = decompose_and_check(system, [((0, 1),)])
+    cert, report, graph = decompose_and_check(system, gens)
+    assert report.verdict and cert == expected and graph == core
+    assert verify_certificate(system, gens, expected).verdict
+
+
+def test_out_of_range_generator_syllable_raises_value_error():
+    system = make_system([Z2, Z3], [Z2, TRIV], [[0, 1], [0, 0, 0]])
+    cert = decompose_and_check(system, [((0, 1),)])[0]
+    with pytest.raises(ValueError, match="element 2 out of range for factor 0"):
+        decompose_and_check(system, [((0, 2),)])
+    with pytest.raises(ValueError, match="element 2 out of range for factor 0"):
+        verify_certificate(system, [((0, 1),), ((0, 1), (0, 2))], cert)

@@ -280,32 +280,22 @@ def _core_and_completion(sys, gens, max_cosets):
     return core, complete_graph(sys, core, max_cosets)
 
 
-def test_heap_jobs_match_linear_scan(corpus, monkeypatch):
-    # the heap must pick every saturation job the linear scan would, so
-    # both give equal graphs, uncanonicalized, from build_core and completion
-    from naive_enum import LinearScanBuilder
+def test_saturation_order_does_not_change_the_core(corpus, monkeypatch):
+    # a core depends only on its subgroup (covgraph docstring), so jobs taken
+    # smallest first or in two seeded random orders give the builder's
+    # graphs, uncanonicalized, from build_core and completion
+    from naive_enum import LinearScanBuilder, RandomOrderBuilder
 
-    jobs = []
-    saturate = covgraph._Builder._saturate
-
-    def logged(self, lam, v):
-        jobs.append((lam, v))
-        saturate(self, lam, v)
-
-    monkeypatch.setattr(covgraph._Builder, "_saturate", logged)
     family = [z2z3_point_stabilizer(n) for n in (12, 60, 120, 180, 240, 300)]
     systems = [(inst.system, inst.gens, 60) for inst in corpus]
     systems += [(ps.system, ps.gens, ps.index) for ps in family]
     for sys, gens, max_cosets in systems:
-        jobs.clear()
         graphs = _core_and_completion(sys, gens, max_cosets)
-        heap_jobs = list(jobs)
-        jobs.clear()
-        with monkeypatch.context() as scan:
-            scan.setattr(covgraph, "_Builder", LinearScanBuilder)
-            expected = _core_and_completion(sys, gens, max_cosets)
-        assert graphs == expected
-        assert heap_jobs == jobs
+        for builder, seed in ((LinearScanBuilder, 0), (RandomOrderBuilder, 1), (RandomOrderBuilder, 2)):
+            with monkeypatch.context() as order:
+                order.setattr(covgraph, "_Builder", builder)
+                order.setattr(RandomOrderBuilder, "seed", seed)
+                assert _core_and_completion(sys, gens, max_cosets) == graphs
     assert family[-1].index == 300 and graphs[1].vertex_count == 300
 
 
